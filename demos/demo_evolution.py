@@ -40,8 +40,8 @@ def main():
 
     slack = heisenberg_slack(traj.sigma[-1], HBAR)
     print(f"\nfinal det-sigma slack above hbar^2/4: {slack:.3e} (>= 0 expected)")
-    traj.to_csv("trajectory.csv")
-    print("full trajectory written to trajectory.csv")
+    print("for the full trajectory as CSV, run: lindosc evolve --config "
+          "demos/config_example.json (writes trajectory.csv)")
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ from .model import (LindbladCouplings, ModelParams, ValidationReport,
                     model_from_dict, validate)
 from .sieve import (SieveResult, analytic_minimizer, grid_search, rate_at,
                     rate_landscape, run_sieve)
-from .wigner import (PhasePoint, QuadratureSpec, fp_residual, wigner_eval,
-                     wigner_grid, wigner_normalization)
+from .wigner import (QuadratureSpec, fp_residual, wigner_eval, wigner_grid,
+                     wigner_normalization)
 
 __all__ = [
     "__version__",
@@ -31,6 +31,6 @@ __all__ = [
     "validate",
     "SieveResult", "analytic_minimizer", "grid_search", "rate_at",
     "rate_landscape", "run_sieve",
-    "PhasePoint", "QuadratureSpec", "fp_residual", "wigner_eval",
-    "wigner_grid", "wigner_normalization",
+    "QuadratureSpec", "fp_residual", "wigner_eval", "wigner_grid",
+    "wigner_normalization",
 ]

@@ -2,7 +2,8 @@
 
 One self-describing JSON config drives each run; ``--set key=value`` applies
 dotted-path overrides.  Exit codes: 0 success, 1 usage/parse error, 2
-physics-constraint error, 3 numerical failure.
+physics-constraint error, 3 numerical failure; each error class in
+:mod:`lindosc.errors` declares its own.
 """
 
 from __future__ import annotations
@@ -14,15 +15,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, decomposition, dynamics, entropy, model, serialize, sieve, wigner
-from .errors import (BoxTooSmall, BracketError, ConfigError, NotSPD, NotStable,
-                     PositivityLost, SingularDiffusion, SingularSigma,
-                     SingularSystem, UnphysicalState)
-
-_USAGE_ERRORS = (ConfigError, BracketError, BoxTooSmall, KeyError, TypeError,
-                 ValueError, IndexError, OSError)
-_PHYSICS_ERRORS = (UnphysicalState, SingularDiffusion, NotSPD, SingularSigma)
-_NUMERICAL_ERRORS = (PositivityLost, SingularSystem, NotStable)
+from . import (__version__, _mat2, decomposition, dynamics, entropy, model,
+               serialize, sieve, wigner)
+from .errors import ConfigError, LindoscError, UnphysicalState
 
 
 def _load_config(path, overrides):
@@ -70,7 +65,25 @@ def _state_from_config(config, hbar):
                                              aleph=float(spec["aleph"]),
                                              theta=float(spec["theta"]))
         sigma = decomposition.compose(dec, hbar)
+    _mat2.check_spd(sigma, "state.sigma")
     return dynamics.GaussianState(mean=mean, sigma=sigma)
+
+
+def _area_from_config(config, hbar):
+    """Phase-space area of the configured state; 1 (pure) without one."""
+    if "state" not in config:
+        return 1.0
+    return entropy.area(_state_from_config(config, hbar).sigma, hbar)
+
+
+def _evolve_from_config(config, params, state):
+    spec = config.get("evolve", {})
+    t_final = float(spec.get("t_final", 1.0))
+    dt = float(spec.get("dt", 1e-3))
+    sample_every = int(spec.get("sample_every", 1))
+    if dt <= 0 or t_final < 0 or sample_every < 1:
+        raise ConfigError("evolve requires dt > 0, t_final >= 0, sample_every >= 1")
+    return dynamics.evolve(state, params, t_final, dt, sample_every)
 
 
 def _emit(obj, path=None):
@@ -91,29 +104,29 @@ def cmd_validate(config):
     return 0 if report.passed else 2
 
 
-def _require_valid(params):
+def _valid_model(config):
+    """The config's model and its validation report, which must pass."""
+    params = _model_from_config(config)
     report = model.validate(params)
     if not report.passed:
         raise UnphysicalState(
             f"model violates the diffusion positivity constraint (slack {report.slack})")
-    return report
+    return params, report
 
 
 def cmd_evolve(config):
-    params = _model_from_config(config)
-    report = _require_valid(params)
+    params, report = _valid_model(config)
     state = _state_from_config(config, params.hbar)
+    traj = _evolve_from_config(config, params, state)
     spec = config.get("evolve", {})
-    t_final = float(spec.get("t_final", 1.0))
-    dt = float(spec.get("dt", 1e-3))
-    sample_every = int(spec.get("sample_every", 1))
-    if dt <= 0 or t_final < 0 or sample_every < 1:
-        raise ConfigError("evolve requires dt > 0, t_final >= 0, sample_every >= 1")
-
-    traj = dynamics.evolve(state, params, t_final, dt, sample_every)
     csv_path = spec.get("trajectory_csv")
     if csv_path:
-        traj.to_csv(csv_path)
+        serialize.write_csv(
+            csv_path, "t,x1,x2,S11,S12,S22,area,lin_entropy,entropy_rate",
+            np.column_stack([
+                traj.t, traj.mean[:, 0], traj.mean[:, 1],
+                traj.sigma[:, 0, 0], traj.sigma[:, 0, 1], traj.sigma[:, 1, 1],
+                traj.area, traj.lin_entropy, traj.entropy_rate]))
 
     summary = {
         "t_final": traj.t[-1],
@@ -140,11 +153,9 @@ def _diffusion_decomposition(params):
 
 
 def cmd_sieve(config):
-    params = _model_from_config(config)
-    _require_valid(params)
+    params, _ = _valid_model(config)
     diff = _diffusion_decomposition(params)
-    area = (entropy.area(_state_from_config(config, params.hbar).sigma, params.hbar)
-            if "state" in config else 1.0)
+    area = _area_from_config(config, params.hbar)
     spec = config.get("sieve", {})
     n_aleph = int(spec.get("n_aleph", 401))
     n_theta = int(spec.get("n_theta", 361))
@@ -175,16 +186,13 @@ def cmd_sieve(config):
 
 
 def cmd_sweep(config):
-    params = _model_from_config(config)
-    _require_valid(params)
+    params, _ = _valid_model(config)
     diff = _diffusion_decomposition(params)
     spec = config.get("sweep")
     if not spec:
         raise ConfigError("config is missing the 'sweep' section")
-    area = (entropy.area(_state_from_config(config, params.hbar).sigma, params.hbar)
-            if "state" in config else 1.0)
     table = sieve.rate_landscape(
-        area, params.lam, diff,
+        _area_from_config(config, params.hbar), params.lam, diff,
         n_aleph=int(spec["n_aleph"]), n_theta=int(spec["n_theta"]),
         aleph_range=(float(spec["aleph_min"]), float(spec["aleph_max"])))
     serialize.write_csv(spec["landscape_csv"], "aleph,theta,rate", table)
@@ -192,8 +200,7 @@ def cmd_sweep(config):
 
 
 def cmd_wigner(config):
-    params = _model_from_config(config)
-    _require_valid(params)
+    params, _ = _valid_model(config)
     state = _state_from_config(config, params.hbar)
     spec = config.get("wigner", {})
     t_index = int(spec.get("t_index", 0))
@@ -201,11 +208,7 @@ def cmd_wigner(config):
     if t_index == 0:
         t_value = 0.0
     else:
-        evo = config.get("evolve", {})
-        traj = dynamics.evolve(state, params,
-                               float(evo.get("t_final", 1.0)),
-                               float(evo.get("dt", 1e-3)),
-                               int(evo.get("sample_every", 1)))
+        traj = _evolve_from_config(config, params, state)
         if not 0 <= t_index < len(traj):
             raise ConfigError(
                 f"t_index {t_index} out of range for {len(traj)} samples")
@@ -215,9 +218,8 @@ def cmd_wigner(config):
     quad = wigner.QuadratureSpec(n_sigma=float(spec.get("n_sigma", 8.0)),
                                  n_points=int(spec.get("n_points", 201)))
     x1, x2, f = wigner.wigner_grid(state, quad)
-    rows = ((x1[i], x2[j], f[i, j])
-            for i in range(len(x1)) for j in range(len(x2)))
-    serialize.write_csv(spec["grid_csv"], "x1,x2,f", rows)
+    serialize.write_csv(spec["grid_csv"], "x1,x2,f", np.column_stack([
+        np.repeat(x1, len(x2)), np.tile(x2, len(x1)), f.ravel()]))
     sidecar = spec.get("sidecar_json")
     if sidecar:
         _emit({
@@ -260,16 +262,17 @@ def main(argv=None):
     try:
         config = _load_config(args.config, args.overrides)
         return _COMMANDS[args.command](config)
-    except _PHYSICS_ERRORS as exc:
+    except LindoscError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _USAGE_ERRORS as exc:
+        return exc.exit_code
+    except (KeyError, TypeError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _mat2
 from .errors import NotSPD, SingularDiffusion
 
 #: Below this excess of aleph**2 over 1 the rotation angle is meaningless.
@@ -43,73 +44,61 @@ class DiffDecomposition:
     phi: float
 
 
-def rotation(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def _check_symmetric(m):
     scale = max(abs(m[0, 0]), abs(m[1, 1]), abs(m[0, 1]), abs(m[1, 0]), 1e-300)
     if abs(m[0, 1] - m[1, 0]) > _SYMMETRY_RTOL * scale:
-        raise NotSPD(f"matrix is not symmetric: {m!r}")
+        raise NotSPD(f"matrix {m.tolist()} is not symmetric")
 
 
-def _diagonalize(m):
-    """Closed-form eigen-structure of a symmetric 2x2 matrix.
+def _decompose(m, det, hbar):
+    """Closed-form (scale, ratio, angle) of a symmetric 2x2 matrix of
+    determinant ``det``, the inverse of :func:`_compose`.
 
-    Returns ``(sqrt_det, ratio2, theta)`` where ``ratio2 = lambda_max /
-    sqrt(det) >= 1`` and ``theta in [0, pi)`` orients the congruence so the
-    large eigenvalue sits on the first diagonal slot.
+    ``ratio**2 = lambda_max / sqrt(det) >= 1`` and ``angle in [0, pi)``
+    orients the congruence so the large eigenvalue sits on the first
+    diagonal slot.
     """
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     sqrt_det = math.sqrt(det)
-    tr = m[0, 0] + m[1, 1]
-    gap = math.hypot(m[0, 0] - m[1, 1], 2.0 * m[0, 1])
-    lam_max = 0.5 * (tr + gap)
+    _, _, lam_max = _mat2.spectrum(m)
     ratio2 = lam_max / sqrt_det
     if ratio2 - 1.0 < _ISOTROPY_TOL:
-        return sqrt_det, 1.0, 0.0
-    theta = 0.5 * math.atan2(-2.0 * m[0, 1], m[0, 0] - m[1, 1])
-    return sqrt_det, ratio2, theta % math.pi
+        ratio2, angle = 1.0, 0.0
+    else:
+        angle = 0.5 * math.atan2(-2.0 * m[0, 1], m[0, 0] - m[1, 1]) % math.pi
+    return 2.0 * sqrt_det / hbar, math.sqrt(ratio2), angle
+
+
+def _compose(scale, ratio, angle, hbar):
+    c, s = math.cos(angle), math.sin(angle)
+    o = np.array([[c, -s], [s, c]])
+    core = np.diag([ratio ** 2, ratio ** -2])
+    return (hbar * scale / 2.0) * (o.T @ core @ o)
 
 
 def decompose(m, hbar):
     """Decompose an SPD covariance matrix into (A, aleph, theta)."""
     m = np.asarray(m, dtype=float)
     _check_symmetric(m)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det <= 0 or m[0, 0] <= 0:
-        raise NotSPD(f"matrix is not positive definite: {m!r}")
-    sqrt_det, ratio2, theta = _diagonalize(m)
-    return CovDecomposition(A=2.0 * sqrt_det / hbar,
-                            aleph=math.sqrt(ratio2),
-                            theta=theta)
+    return CovDecomposition(*_decompose(m, _mat2.check_spd(m), hbar))
 
 
 def compose(dec, hbar):
     """Rebuild the covariance matrix from (A, aleph, theta)."""
-    o = rotation(dec.theta)
-    core = np.diag([dec.aleph ** 2, dec.aleph ** -2])
-    return (hbar * dec.A / 2.0) * (o.T @ core @ o)
+    return _compose(dec.A, dec.aleph, dec.theta, hbar)
 
 
 def decompose_diffusion(d_matrix, hbar):
     """Decompose a scaled diffusion matrix into (Delta, d, phi)."""
     d_matrix = np.asarray(d_matrix, dtype=float)
     _check_symmetric(d_matrix)
-    det = d_matrix[0, 0] * d_matrix[1, 1] - d_matrix[0, 1] * d_matrix[1, 0]
+    det = _mat2.det(d_matrix)
     if det <= 0:
         raise SingularDiffusion(
             "diffusion matrix has non-positive determinant; "
             "anisotropy is undefined")
-    sqrt_det, ratio2, phi = _diagonalize(d_matrix)
-    return DiffDecomposition(Delta=2.0 * sqrt_det / hbar,
-                             d=math.sqrt(ratio2),
-                             phi=phi)
+    return DiffDecomposition(*_decompose(d_matrix, det, hbar))
 
 
 def compose_diffusion(dec, hbar):
     """Rebuild the scaled diffusion matrix from (Delta, d, phi)."""
-    o = rotation(dec.phi)
-    core = np.diag([dec.d ** 2, dec.d ** -2])
-    return (hbar * dec.Delta / 2.0) * (o.T @ core @ o)
+    return _compose(dec.Delta, dec.d, dec.phi, hbar)

@@ -11,14 +11,14 @@ keeps trajectories bit-reproducible for identical inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _mat2
 from . import entropy as _entropy
 from . import model as _model
-from .errors import NotStable, PositivityLost, SingularSystem
+from .errors import NotStable, PositivityLost
 
 #: Relative (to trace) tolerance on the smallest covariance eigenvalue.
 _PD_TOL = 1e-10
@@ -34,12 +34,6 @@ class GaussianState:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-
-    @classmethod
-    def from_decomposition(cls, dec, hbar, mean=(0.0, 0.0)):
-        from . import decomposition
-        return cls(mean=np.asarray(mean, dtype=float),
-                   sigma=decomposition.compose(dec, hbar))
 
 
 @dataclass(frozen=True)
@@ -63,18 +57,6 @@ class Trajectory:
     def state(self, i):
         return GaussianState(mean=self.mean[i], sigma=self.sigma[i])
 
-    def to_csv(self, path):
-        header = "t,x1,x2,S11,S12,S22,area,lin_entropy,entropy_rate"
-        cols = np.column_stack([
-            self.t, self.mean[:, 0], self.mean[:, 1],
-            self.sigma[:, 0, 0], self.sigma[:, 0, 1], self.sigma[:, 1, 1],
-            self.area, self.lin_entropy, self.entropy_rate,
-        ])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in cols:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
 
 def rhs_sigma(sigma, drift, diffusion):
     """Right-hand side of the covariance ODE; symmetric for symmetric input."""
@@ -88,14 +70,11 @@ def rhs_mean(mean, drift):
 
 def heisenberg_slack(sigma, hbar):
     """det(sigma) - hbar**2 / 4; negative values flag unphysical states."""
-    sigma = np.asarray(sigma, dtype=float)
-    return sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0] - hbar ** 2 / 4.0
+    return _mat2.det(np.asarray(sigma, dtype=float)) - hbar ** 2 / 4.0
 
 
 def _check_pd(sigma, t=None):
-    tr = sigma[0, 0] + sigma[1, 1]
-    gap = math.hypot(sigma[0, 0] - sigma[1, 1], 2.0 * sigma[0, 1])
-    lam_min = 0.5 * (tr - gap)
+    tr, lam_min, _ = _mat2.spectrum(sigma)
     if lam_min <= -_PD_TOL * abs(tr):
         raise PositivityLost(
             f"covariance lost positive definiteness (min eigenvalue {lam_min})"
@@ -187,7 +166,9 @@ def evolve(state, params, t_final, dt, sample_every=1):
 def stationary_covariance(drift, diffusion):
     """Unique symmetric solution of drift@S + S@drift.T + 2*diffusion = 0.
 
-    Requires a Hurwitz drift (both eigenvalues with negative real part).
+    Requires a Hurwitz drift (both eigenvalues with negative real part);
+    raises :class:`~lindosc.errors.NotStable` without one, and when the
+    linear solve is singular or inaccurate.
     """
     drift = np.asarray(drift, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)
@@ -207,12 +188,12 @@ def stationary_covariance(drift, diffusion):
     try:
         s11, s12, s22 = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+        raise NotStable(str(exc)) from exc
     sigma = np.array([[s11, s12], [s12, s22]])
 
     residual = rhs_sigma(sigma, drift, diffusion)
     rhs_norm = np.linalg.norm(2.0 * diffusion)
     if np.linalg.norm(residual) > 1e-10 * max(rhs_norm, 1e-300):
-        raise SingularSystem(
+        raise NotStable(
             f"stationary solve residual {np.linalg.norm(residual)} too large")
     return sigma

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDeterminant, SingularSigma, UnphysicalState
+from . import _mat2
+from .errors import NonPositiveDeterminant, NotSPD, UnphysicalState
 
 #: Areas this far below 1 are treated as rounding noise on a pure state.
 _PURITY_TOL = 1e-9
@@ -21,22 +22,17 @@ class EntropyReport:
     entropy_rate: float
 
 
-def _det2(m):
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
 def _inv2(m):
-    det = _det2(m)
+    det = _mat2.det(m)
     scale = max(abs(m[0, 0]), abs(m[1, 1]), abs(m[0, 1]), 1e-300)
     if abs(det) <= 1e-300 or abs(det) < 1e-15 * scale ** 2:
-        raise SingularSigma(f"covariance matrix is numerically singular: {m!r}")
-    return np.array([[m[1, 1], -m[0, 1]],
-                     [-m[1, 0], m[0, 0]]]) / det
+        raise NotSPD(f"covariance matrix {m.tolist()} is numerically singular")
+    return _mat2.inv(m, det)
 
 
 def area(sigma, hbar):
     """Phase-space area A = (2/hbar) sqrt(det sigma); 1 for pure states."""
-    det = _det2(np.asarray(sigma, dtype=float))
+    det = _mat2.det(np.asarray(sigma, dtype=float))
     if det <= 0:
         raise NonPositiveDeterminant(f"det sigma = {det} is not positive")
     return 2.0 * math.sqrt(det) / hbar

@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class declares the command-line exit code it maps to: 1 for usage and
+configuration errors, 2 for physics-constraint violations, 3 for numerical
+failures.
+"""
 
 
 class LindoscError(Exception):
     """Base class for all package-specific errors."""
+    exit_code = 1
 
 
 class ConfigError(LindoscError):
@@ -10,31 +16,30 @@ class ConfigError(LindoscError):
 
 
 class NotSPD(LindoscError):
-    """Matrix expected to be symmetric positive definite is not."""
+    """Matrix expected to be symmetric positive definite is not, or is
+    numerically singular."""
+    exit_code = 2
 
 
 class NonPositiveDeterminant(LindoscError):
     """Covariance determinant is not strictly positive."""
+    exit_code = 2
 
 
 class UnphysicalState(LindoscError):
     """State violates the minimum-uncertainty bound beyond tolerance."""
-
-
-class SingularSigma(LindoscError):
-    """Covariance matrix is numerically singular."""
+    exit_code = 2
 
 
 class SingularDiffusion(LindoscError):
     """Diffusion matrix has non-positive determinant; anisotropy is undefined."""
+    exit_code = 2
 
 
 class NotStable(LindoscError):
-    """Drift matrix is not Hurwitz; no stationary covariance exists."""
-
-
-class SingularSystem(LindoscError):
-    """Stationary-covariance linear system is numerically singular."""
+    """Drift matrix is not Hurwitz, or the stationary-covariance system is
+    numerically singular; no stationary covariance is computed."""
+    exit_code = 3
 
 
 class BracketError(LindoscError):
@@ -47,6 +52,7 @@ class BoxTooSmall(LindoscError):
 
 class PositivityLost(LindoscError):
     """Integrated covariance lost positive definiteness."""
+    exit_code = 3
 
     def __init__(self, message, time=None):
         super().__init__(message)

@@ -173,20 +173,16 @@ def grid_search(area, lam, diff, n_aleph, n_theta, aleph_range,
     """Rate minimization: an exhaustive search over a log-spaced aleph grid
     times a uniform theta grid on [0, pi), then a polish of the best cell.
 
-    Explicit ``aleph_grid``/``theta_grid`` arrays override the generated
-    grids.  The best cell minimizes the bracket B, to which the rate is
-    affine with a positive coefficient; ties resolve to the lowest flat
-    index (aleph outer, theta inner).  Safeguarded Newton steps on B then
-    refine the cell to rounding level, independently of the analytic
-    minimizer and of the area.  Returns ``(aleph, theta, rate)`` at the
-    polished point, with ``aleph >= 1`` and ``theta`` in [0, pi).
+    Explicit ``aleph_grid`` and ``theta_grid`` arrays, given together,
+    replace the generated grids.  The best cell minimizes the bracket B, to
+    which the rate is affine with a positive coefficient; ties resolve to
+    the lowest flat index (aleph outer, theta inner).  Safeguarded Newton
+    steps on B then refine the cell to rounding level, independently of the
+    analytic minimizer and of the area.  Returns ``(aleph, theta, rate)`` at
+    the polished point, with ``aleph >= 1`` and ``theta`` in [0, pi).
     """
     if aleph_grid is None or theta_grid is None:
         alephs, thetas = _default_grids(diff, n_aleph, n_theta, aleph_range)
-        if aleph_grid is not None:
-            alephs = np.asarray(aleph_grid, dtype=float)
-        if theta_grid is not None:
-            thetas = np.asarray(theta_grid, dtype=float)
     else:
         alephs = np.asarray(aleph_grid, dtype=float)
         thetas = np.asarray(theta_grid, dtype=float)

@@ -9,16 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BoxTooSmall, NotSPD
-
-
-class PhasePoint(NamedTuple):
-    x1: float
-    x2: float
+from . import _mat2
+from .errors import BoxTooSmall
 
 
 @dataclass(frozen=True)
@@ -29,19 +24,11 @@ class QuadratureSpec:
     n_points: int = 401
 
 
-def _inv_and_det(sigma):
-    det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0]
-    if det <= 0 or sigma[0, 0] <= 0:
-        raise NotSPD(f"covariance is not positive definite: {sigma!r}")
-    inv = np.array([[sigma[1, 1], -sigma[0, 1]],
-                    [-sigma[1, 0], sigma[0, 0]]]) / det
-    return inv, det
-
-
 def wigner_eval(state, point):
     """Gaussian phase-space density of the state at one point."""
     sigma = np.asarray(state.sigma, dtype=float)
-    inv, det = _inv_and_det(sigma)
+    det = _mat2.check_spd(sigma, "covariance")
+    inv = _mat2.inv(sigma, det)
     dx = np.asarray(point, dtype=float) - state.mean
     quad = dx @ inv @ dx
     return math.exp(-0.5 * quad) / math.sqrt((2.0 * math.pi) ** 2 * det)
@@ -55,10 +42,9 @@ def wigner_grid(state, spec):
     standard deviation of the state.
     """
     sigma = np.asarray(state.sigma, dtype=float)
-    inv, det = _inv_and_det(sigma)
-    tr = sigma[0, 0] + sigma[1, 1]
-    gap = math.hypot(sigma[0, 0] - sigma[1, 1], 2.0 * sigma[0, 1])
-    sd_max = math.sqrt(0.5 * (tr + gap))
+    det = _mat2.check_spd(sigma, "covariance")
+    inv = _mat2.inv(sigma, det)
+    sd_max = math.sqrt(_mat2.spectrum(sigma)[2])
     half = spec.n_sigma * sd_max
 
     x1 = state.mean[0] + np.linspace(-half, half, spec.n_points)

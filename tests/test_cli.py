@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lindosc import __version__
 from lindosc.cli import main
 
 
@@ -49,6 +54,18 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, base_config(tmp_path))
         assert main(["validate", "--config", cfg,
                      "--set", "model.lambda=5.0"]) == 2
+
+    def test_model_at_the_positivity_bound(self, tmp_path, capsys):
+        # Passes validate's tolerance, though its intensity Delta sits just
+        # below |lambda|; loading it must not second-guess validate.
+        hbar, lam = 1e-3, 1.0
+        d = math.sqrt(lam ** 2 * hbar ** 2 / 4 - 0.9e-10)
+        config = base_config(tmp_path, hbar=hbar, diffusion={
+            "D_qq": d, "D_pp": d, "D_pq": 0.0})
+        config["model"]["lambda"] = lam
+        cfg = write_config(tmp_path, config)
+        assert main(["validate", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
 
 
 def evolve_config(tmp_path, **kw):
@@ -210,3 +227,26 @@ class TestWignerCommand:
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate", "--config", "x.json"]) == 1
+
+
+@pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner"])
+def test_indefinite_state_is_physics_error(tmp_path, capsys, command):
+    config = evolve_config(tmp_path)
+    config["state"]["sigma"] = {"S11": 1.0, "S12": 2.0, "S22": 1.0}
+    config["sweep"] = {"n_aleph": 5, "n_theta": 4, "aleph_min": 0.5,
+                       "aleph_max": 4.0,
+                       "landscape_csv": str(tmp_path / "land.csv")}
+    config["wigner"] = {"n_points": 11, "grid_csv": str(tmp_path / "w.csv")}
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_runs_as_a_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-m", "lindosc.cli", "--version"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0
+    assert out.stdout.strip() == __version__
