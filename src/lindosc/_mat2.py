@@ -2,8 +2,12 @@
 
 Covariances and diffusion matrices are 2x2, so their determinants, inverses
 and eigenvalues are written out once here.  Callers keep their own
-tolerances.  The module is private: the benchmark's tracer wraps the public
-functions of the layer modules, and these run once per RK4 step.
+tolerances.  :func:`det` and :func:`inv` also take a stack of shape
+``(n, 2, 2)``: they index the transpose, which puts the 2x2 indices first,
+so one expression serves a single matrix at scalar speed and a stack at
+array speed, with the same rounding.  The module is private: the
+benchmark's tracer wraps the public functions of the layer modules, and
+these run once per matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from .errors import NotSPD
 
 
 def det(m):
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    t = m.T
+    return t[0, 0] * t[1, 1] - t[1, 0] * t[0, 1]
 
 
 def check_spd(m, name="matrix"):
@@ -30,8 +35,9 @@ def check_spd(m, name="matrix"):
 
 def inv(m, d):
     """Inverse of ``m`` given its determinant ``d``."""
-    return np.array([[m[1, 1], -m[0, 1]],
-                     [-m[1, 0], m[0, 0]]]) / d
+    t = m.T
+    return np.ascontiguousarray((np.array([[t[1, 1], -t[0, 1]],
+                                           [-t[1, 0], t[0, 0]]]) / d).T)
 
 
 def spectrum(m):

@@ -66,6 +66,7 @@ def _state_from_config(config, hbar):
                                              theta=float(spec["theta"]))
         sigma = decomposition.compose(dec, hbar)
     _mat2.check_spd(sigma, "state.sigma")
+    entropy.linear_entropy(sigma, hbar)  # raises UnphysicalState below area 1
     return dynamics.GaussianState(mean=mean, sigma=sigma)
 
 
@@ -81,8 +82,17 @@ def _evolve_from_config(config, params, state):
     t_final = float(spec.get("t_final", 1.0))
     dt = float(spec.get("dt", 1e-3))
     sample_every = int(spec.get("sample_every", 1))
-    if dt <= 0 or t_final < 0 or sample_every < 1:
-        raise ConfigError("evolve requires dt > 0, t_final >= 0, sample_every >= 1")
+    if not (0 < dt < math.inf and t_final >= 0 and math.isfinite(t_final / dt)
+            and sample_every >= 1):
+        raise ConfigError("evolve requires finite dt > 0, t_final >= 0 with "
+                          "t_final/dt finite, and sample_every >= 1")
+    # The samples must reach t_final: a run of n steps ends on its last
+    # sample only if n is a positive multiple of sample_every.
+    n_steps = round(t_final / dt)
+    if t_final > 0 and (n_steps == 0 or n_steps % sample_every):
+        raise ConfigError(
+            f"evolve runs round(t_final/dt) = {n_steps} steps, which must be a "
+            f"positive multiple of sample_every = {sample_every}")
     return dynamics.evolve(state, params, t_final, dt, sample_every)
 
 

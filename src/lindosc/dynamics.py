@@ -7,6 +7,14 @@ The covariance matrix obeys the linear matrix ODE
 and the means follow the drift flow d(mean)/dt = drift @ mean.  Both are
 integrated jointly with a fixed-step classical Runge-Kutta 4 scheme, which
 keeps trajectories bit-reproducible for identical inputs.
+
+The joint system on z = (x1, x2, S11, S12, S22) is linear with constant
+coefficients, so one RK4 step is the affine map z -> z + (M z + q), with M
+and q built once per run from the 5x5 generator (Van Loan, "Computing
+integrals involving the matrix exponential", IEEE TAC 23, 1978).  Steps are
+written into a fixed block of rows, and each block is checked at once for
+lost positive definiteness and for overflow.  The entropy diagnostics of all
+samples are then computed in one call over the sample stack.
 """
 
 from __future__ import annotations
@@ -73,26 +81,91 @@ def heisenberg_slack(sigma, hbar):
     return _mat2.det(np.asarray(sigma, dtype=float)) - hbar ** 2 / 4.0
 
 
-def _check_pd(sigma, t=None):
-    tr, lam_min, _ = _mat2.spectrum(sigma)
-    if lam_min <= -_PD_TOL * abs(tr):
-        raise PositivityLost(
-            f"covariance lost positive definiteness (min eigenvalue {lam_min})"
-            + ("" if t is None else f" at t = {t}"), time=t)
+def _sigma_generator(drift):
+    """3x3 matrix L with rhs_sigma = L @ (S11, S12, S22) + 2 * (D11, D12, D22).
+
+    Rows are the (11), (12) and (22) components of drift@S + S@drift.T.
+    """
+    y11, y12 = drift[0]
+    y21, y22 = drift[1]
+    return np.array([
+        [2.0 * y11, 2.0 * y12, 0.0],
+        [y21, y11 + y22, y12],
+        [0.0, 2.0 * y21, 2.0 * y22],
+    ])
 
 
-def _rk4_step(mean, sigma, drift, diffusion, dt):
-    k1m = drift @ mean
-    k1s = rhs_sigma(sigma, drift, diffusion)
-    k2m = drift @ (mean + 0.5 * dt * k1m)
-    k2s = rhs_sigma(sigma + 0.5 * dt * k1s, drift, diffusion)
-    k3m = drift @ (mean + 0.5 * dt * k2m)
-    k3s = rhs_sigma(sigma + 0.5 * dt * k2s, drift, diffusion)
-    k4m = drift @ (mean + dt * k3m)
-    k4s = rhs_sigma(sigma + dt * k3s, drift, diffusion)
-    mean = mean + (dt / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-    sigma = sigma + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-    return mean, 0.5 * (sigma + sigma.T)
+def _propagator(drift, diffusion, dt):
+    """``(M.T, q)`` such that one RK4 step of z' = G z + c is z + (M z + q).
+
+    Here z = (x1, x2, S11, S12, S22), G is block-diagonal with blocks
+    ``drift`` and :func:`_sigma_generator`, and c = 2 * (0, 0, D11, D12, D22).
+    With hG = dt * G, M = hG (I + hG/2 + (hG)^2/6 + (hG)^3/24) and
+    q = dt (I + hG/2 + (hG)^2/6 + (hG)^3/24) c: the classical RK4 stages of a
+    linear system with constant coefficients, collapsed into one affine map.
+    Stepping the increment, not z -> (I + M) z + q, keeps each step's
+    rounding relative to the increment rather than to z.
+    """
+    g = np.zeros((5, 5))
+    g[:2, :2] = drift
+    g[2:, 2:] = _sigma_generator(drift)
+    c = 2.0 * np.array([0.0, 0.0, diffusion[0, 0], diffusion[0, 1], diffusion[1, 1]])
+    eye = np.eye(5)
+    hg = dt * g
+    series = eye + hg @ (eye / 2.0 + hg @ (eye / 6.0 + hg / 24.0))
+    return (hg @ series).T.copy(), dt * (series @ c)
+
+
+def _pack(state):
+    """``state`` as one row z = (x1, x2, S11, S12, S22), its covariance
+    symmetrised."""
+    mean = np.asarray(state.mean, dtype=float)
+    sigma = np.asarray(state.sigma, dtype=float)
+    sigma = 0.5 * (sigma + sigma.T)
+    return np.array([mean[0], mean[1], sigma[0, 0], sigma[0, 1], sigma[1, 1]])
+
+
+def _unpack(z):
+    """Means ``(n, 2)`` and covariances ``(n, 2, 2)`` from rows of packed states."""
+    sigma = np.empty((len(z), 2, 2))
+    sigma[:, 0, 0] = z[:, 2]
+    sigma[:, 0, 1] = sigma[:, 1, 0] = z[:, 3]
+    sigma[:, 1, 1] = z[:, 4]
+    return z[:, :2].copy(), sigma
+
+
+def _step(z, mt, q, block):
+    """Fill the rows of ``block`` with successive RK4 steps from ``z``.
+
+    Runs under ``np.errstate`` so that a run which overflows leaves no
+    warnings; :func:`_first_failure` reports it instead.
+    """
+    with np.errstate(all="ignore"):
+        for row in block:
+            np.add(z, z @ mt + q, out=row)
+            z = row
+
+
+def _first_failure(block):
+    """``(index, message)`` of the first row of ``block`` that is not finite or
+    whose covariance lost positive definiteness beyond tolerance, else None.
+
+    The smallest eigenvalue is :func:`_mat2.spectrum`'s formula over a stack
+    of packed rows.  ``_mat2`` keeps ``math.hypot``, whose last bit can differ
+    from ``np.hypot``'s, so that the decompositions built on it do not move.
+    """
+    with np.errstate(all="ignore"):
+        s11, s12, s22 = block[:, 2], block[:, 3], block[:, 4]
+        tr = s11 + s22
+        lam_min = 0.5 * (tr - np.hypot(s11 - s22, 2.0 * s12))
+        finite = np.isfinite(block).all(axis=1)
+        bad = ~finite | (lam_min <= -_PD_TOL * np.abs(tr))
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if not finite[i]:
+        return i, "state is no longer finite"
+    return i, f"covariance lost positive definiteness (min eigenvalue {lam_min[i]})"
 
 
 def step_rk4(state, drift, diffusion, dt):
@@ -104,16 +177,30 @@ def step_rk4(state, drift, diffusion, dt):
     """
     if dt == 0:
         return state
-    mean, sigma = _rk4_step(state.mean, state.sigma, drift, diffusion, dt)
-    _check_pd(sigma)
-    return GaussianState(mean=mean, sigma=sigma)
+    mt, q = _propagator(np.asarray(drift, dtype=float),
+                        np.asarray(diffusion, dtype=float), dt)
+    out = np.empty((1, 5))
+    _step(_pack(state), mt, q, out)
+    failure = _first_failure(out)
+    if failure:
+        raise PositivityLost(failure[1])
+    mean, sigma = _unpack(out)
+    return GaussianState(mean=mean[0], sigma=sigma[0])
+
+
+#: Steps held at once between positivity checks; memory stays flat for any
+#: step count.
+_BLOCK = 1024
 
 
 def evolve(state, params, t_final, dt, sample_every=1):
     """Integrate the model from ``state`` and record sampled diagnostics.
 
     Samples are taken at t = 0 and then every ``sample_every`` steps, so the
-    recorded times are uniformly spaced by ``sample_every * dt``.
+    recorded times are uniformly spaced by ``sample_every * dt``.  Every step
+    is checked; :class:`~lindosc.errors.PositivityLost` reports the time of
+    the first step whose covariance lost positive definiteness or whose state
+    is no longer finite.
     """
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
@@ -126,39 +213,33 @@ def evolve(state, params, t_final, dt, sample_every=1):
     drift = _model.build_drift(params)
     diffusion = _model.build_scaled_diffusion(params)
     hbar = params.hbar
+    mt, q = _propagator(drift, diffusion, dt)
 
-    times, means, sigmas = [], [], []
-    mean = np.array(state.mean, dtype=float)
-    sigma = 0.5 * (np.asarray(state.sigma, dtype=float)
-                   + np.asarray(state.sigma, dtype=float).T)
-    times.append(0.0)
-    means.append(mean)
-    sigmas.append(sigma)
+    samples = np.empty((n_steps // sample_every + 1, 5))
+    samples[0] = z = _pack(state)
+    block = np.empty((min(_BLOCK, n_steps), 5))
+    done, n_samples = 0, 1
+    while done < n_steps:
+        rows = block[:min(_BLOCK, n_steps - done)]
+        _step(z, mt, q, rows)
+        failure = _first_failure(rows)
+        if failure:
+            i, message = failure
+            t = (done + i + 1) * dt
+            raise PositivityLost(f"{message} at t = {t}", time=t)
+        # Row k holds step done + k + 1; keep the multiples of sample_every.
+        picked = rows[(-done - 1) % sample_every::sample_every]
+        samples[n_samples:n_samples + len(picked)] = picked
+        n_samples += len(picked)
+        z = rows[-1].copy()
+        done += len(rows)
 
-    for i in range(n_steps):
-        mean, sigma = _rk4_step(mean, sigma, drift, diffusion, dt)
-        t = (i + 1) * dt
-        _check_pd(sigma, t=t)
-        if (i + 1) % sample_every == 0:
-            times.append(t)
-            means.append(mean)
-            sigmas.append(sigma)
-
-    t_arr = np.array(times)
-    mean_arr = np.array(means)
-    sigma_arr = np.array(sigmas)
-    n = len(t_arr)
-    area = np.empty(n)
-    lin_ent = np.empty(n)
-    ent_rate = np.empty(n)
-    for i in range(n):
-        rep = _entropy.report(sigma_arr[i], drift, diffusion, hbar)
-        area[i] = rep.area
-        lin_ent[i] = rep.lin_entropy
-        ent_rate[i] = rep.entropy_rate
-
-    return Trajectory(t=t_arr, mean=mean_arr, sigma=sigma_arr,
-                      area=area, lin_entropy=lin_ent, entropy_rate=ent_rate,
+    mean, sigma = _unpack(samples)
+    rep = _entropy.report(sigma, drift, diffusion, hbar)
+    return Trajectory(t=np.arange(0, n_steps + 1, sample_every) * dt,
+                      mean=mean, sigma=sigma,
+                      area=rep.area, lin_entropy=rep.lin_entropy,
+                      entropy_rate=rep.entropy_rate,
                       drift=drift, diffusion=diffusion, hbar=hbar,
                       dt_sample=dt * sample_every)
 
@@ -176,17 +257,9 @@ def stationary_covariance(drift, diffusion):
     if not all(z.real < 0 for z in eigs):
         raise NotStable(f"drift eigenvalues {eigs} are not all in the left half-plane")
 
-    y11, y12 = drift[0]
-    y21, y22 = drift[1]
-    # Unknowns (S11, S12, S22); rows are the (11), (12), (22) components.
-    a = np.array([
-        [2.0 * y11, 2.0 * y12, 0.0],
-        [y21, y11 + y22, y12],
-        [0.0, 2.0 * y21, 2.0 * y22],
-    ])
     b = -2.0 * np.array([diffusion[0, 0], diffusion[0, 1], diffusion[1, 1]])
     try:
-        s11, s12, s22 = np.linalg.solve(a, b)
+        s11, s12, s22 = np.linalg.solve(_sigma_generator(drift), b)
     except np.linalg.LinAlgError as exc:
         raise NotStable(str(exc)) from exc
     sigma = np.array([[s11, s12], [s12, s22]])

@@ -119,6 +119,40 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", cfg]) == 0
         assert (tmp_path / "traj.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("t_final, sample_every", [
+        (0.01, 100),    # 10 steps end between two samples
+        (4e-4, 1),      # rounds to 0 steps
+    ])
+    def test_spec_not_covering_the_run_is_usage_error(self, tmp_path, capsys,
+                                                      t_final, sample_every):
+        config = evolve_config(tmp_path, t_final=t_final, dt=1e-3,
+                               sample_every=sample_every)
+        cfg = write_config(tmp_path, config)
+        assert main(["evolve", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "traj.csv").exists()
+
+    def test_overflow_is_numerical_failure(self, tmp_path):
+        # Anti-damped fast enough to overflow before t_final; it must stop
+        # with one line on stderr, not write NaN and print numpy warnings.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        sets = {"model.lambda": -40, "model.diffusion.D_qq": 20.1,
+                "model.diffusion.D_pp": 20.1, "evolve.t_final": 50,
+                "evolve.trajectory_csv": str(tmp_path / "traj.csv"),
+                "evolve.summary_json": str(tmp_path / "summary.json")}
+        argv = [sys.executable, "-m", "lindosc.cli", "evolve", "--config",
+                str(root / "demos" / "config_example.json")]
+        for key, value in sets.items():
+            argv += ["--set", f"{key}={value}"]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 3
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, \
+            out.stderr
+        assert not (tmp_path / "traj.csv").exists()
+
     def test_invalid_model_is_physics_error(self, tmp_path):
         config = evolve_config(tmp_path)
         config["model"]["lambda"] = 5.0
@@ -250,3 +284,18 @@ def test_runs_as_a_module():
                          env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0
     assert out.stdout.strip() == __version__
+
+
+@pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner"])
+def test_sub_heisenberg_state_is_physics_error(tmp_path, capsys, command):
+    # Area 0.2 with hbar = 1: below the pure-state bound det(sigma) >= 1/4.
+    config = evolve_config(tmp_path)
+    config["state"]["sigma"] = {"S11": 0.1, "S12": 0.0, "S22": 0.1}
+    config["sweep"] = {"n_aleph": 5, "n_theta": 4, "aleph_min": 0.5,
+                       "aleph_max": 4.0,
+                       "landscape_csv": str(tmp_path / "land.csv")}
+    config["wigner"] = {"n_points": 11, "grid_csv": str(tmp_path / "w.csv")}
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

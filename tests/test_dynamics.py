@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lindosc import (CovDecomposition, GaussianState, ModelParams, compose,
-                     evolve, heisenberg_slack, rhs_mean, rhs_sigma,
-                     stationary_covariance, step_rk4)
+from lindosc import (CovDecomposition, GaussianState, ModelParams, build_drift,
+                     compose, entropy, evolve, heisenberg_slack, rhs_mean,
+                     rhs_sigma, stationary_covariance, step_rk4)
 from lindosc.errors import NotStable, PositivityLost
 
 HBAR = 1.0
@@ -207,3 +207,100 @@ class TestHeisenbergSlack:
     def test_unphysical_is_negative(self):
         assert heisenberg_slack(0.25 * HBAR * np.eye(2), HBAR) == pytest.approx(
             -3.0 / 16.0 * HBAR ** 2)
+
+
+# The hand-unrolled RK4 step that the affine propagator replaced, kept as the
+# reference: same scheme, different rounding.
+def reference_step(mean, sigma, drift, diffusion, dt):
+    k1m = drift @ mean
+    k1s = rhs_sigma(sigma, drift, diffusion)
+    k2m = drift @ (mean + 0.5 * dt * k1m)
+    k2s = rhs_sigma(sigma + 0.5 * dt * k1s, drift, diffusion)
+    k3m = drift @ (mean + 0.5 * dt * k2m)
+    k3s = rhs_sigma(sigma + 0.5 * dt * k2s, drift, diffusion)
+    k4m = drift @ (mean + dt * k3m)
+    k4s = rhs_sigma(sigma + dt * k3s, drift, diffusion)
+    mean = mean + (dt / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+    sigma = sigma + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+    return mean, 0.5 * (sigma + sigma.T)
+
+
+def reference_lost(sigma):
+    tr = sigma[0, 0] + sigma[1, 1]
+    lam_min = 0.5 * (tr - math.hypot(sigma[0, 0] - sigma[1, 1], 2.0 * sigma[0, 1]))
+    return lam_min <= -1e-10 * abs(tr)
+
+
+def reference_evolve(state, drift, diffusion, n_steps, dt, sample_every):
+    """Sampled (means, sigmas), or the time of the first step that lost
+    positive definiteness."""
+    mean, sigma = state.mean, state.sigma
+    means, sigmas = [mean], [sigma]
+    for i in range(n_steps):
+        mean, sigma = reference_step(mean, sigma, drift, diffusion, dt)
+        if reference_lost(sigma):
+            return (i + 1) * dt
+        if (i + 1) % sample_every == 0:
+            means.append(mean)
+            sigmas.append(sigma)
+    return np.array(means), np.array(sigmas)
+
+
+class TestAgainstReferenceRK4:
+    def test_long_run_matches(self):
+        # 10^4 steps cross several blocks of the stepper; sampling every 7th
+        # step puts the samples at a different offset in each block.
+        p = params(lam=0.4, mu=0.2, omega=1.3, D_qq=0.6, D_pp=0.9, D_pq=0.2)
+        state = GaussianState(mean=[1.0, -0.5],
+                              sigma=np.array([[1.1, 0.3], [0.3, 0.7]]))
+        traj = evolve(state, p, 10.0, 1e-3, sample_every=7)
+        means, sigmas = reference_evolve(state, traj.drift, traj.diffusion,
+                                         10_000, 1e-3, 7)
+        assert len(traj) == len(means) == 10_000 // 7 + 1
+        assert np.max(np.abs(traj.mean - means)) <= 1e-13 * np.max(np.abs(means))
+        assert np.max(np.abs(traj.sigma - sigmas)) <= 1e-13 * np.max(np.abs(sigmas))
+
+    @pytest.mark.parametrize("dt", [0.5, 0.2, 0.1])
+    def test_positivity_lost_at_the_same_step(self, dt):
+        # The model of TestEvolve.test_failure_reports_time; the reference
+        # fails at steps 1, 5 and 62.
+        p = params(lam=-3.0, D_qq=0.0, D_pp=0.0)
+        state = GaussianState(mean=[0, 0],
+                              sigma=np.array([[0.5, 0.49], [0.49, 0.5]]))
+        with pytest.raises(PositivityLost) as err:
+            evolve(state, p, 50.0, dt)
+        t_ref = reference_evolve(state, build_drift(p), np.zeros((2, 2)),
+                                 round(50.0 / dt), dt, 1)
+        assert err.value.time == t_ref
+
+    def test_single_step_blowup_agrees(self):
+        state = GaussianState(mean=[0.0, 0.0],
+                              sigma=np.array([[0.5, 0.49], [0.49, 0.5]]))
+        drift = np.array([[-1.87, 0.12], [-6.98, -0.66]])
+        _, sigma = reference_step(state.mean, state.sigma, drift,
+                                  np.zeros((2, 2)), 1.5)
+        assert reference_lost(sigma)
+        with pytest.raises(PositivityLost):
+            step_rk4(state, drift, np.zeros((2, 2)), 1.5)
+
+    def test_step_rk4_matches(self):
+        drift = np.array([[-0.3, 1.2], [-1.2, -0.5]])
+        diffusion = np.array([[0.5, 0.1], [0.1, 0.8]])
+        state = GaussianState(mean=[0.4, -0.1],
+                              sigma=np.array([[1.4, 0.2], [0.2, 0.9]]))
+        out = step_rk4(state, drift, diffusion, 0.05)
+        mean, sigma = reference_step(state.mean, state.sigma, drift, diffusion, 0.05)
+        np.testing.assert_allclose(out.mean, mean, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out.sigma, sigma, rtol=0, atol=1e-15)
+
+
+def test_stacked_diagnostics_equal_report_per_sample():
+    p = params(lam=0.5, mu=0.1, D_qq=0.7, D_pp=0.5, D_pq=0.1)
+    traj = evolve(GaussianState(mean=[0.5, 0.0], sigma=iso(1.4)),
+                  p, 2.0, 1e-3, sample_every=3)
+    reports = [entropy.report(s, traj.drift, traj.diffusion, HBAR)
+               for s in traj.sigma]
+    for field, column in (("area", traj.area), ("lin_entropy", traj.lin_entropy),
+                          ("entropy_rate", traj.entropy_rate)):
+        per_sample = np.array([getattr(r, field) for r in reports])
+        assert np.array_equal(per_sample, column), field

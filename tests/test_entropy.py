@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lindosc import (CovDecomposition, LindbladCouplings, ModelParams,
                      area, area_rate, build_drift, build_scaled_diffusion,
                      compose, entropy_rate, initial_rate, linear_entropy)
+from lindosc.entropy import report
 from lindosc.errors import NonPositiveDeterminant, UnphysicalState
 
 HBAR = 1.0
@@ -125,3 +126,13 @@ def test_pure_states_never_purify(re_a, im_a, re_b, im_b,
     sigma = compose(CovDecomposition(A=1.0, aleph=aleph, theta=theta), p.hbar)
     rate = initial_rate(sigma, build_scaled_diffusion(p), p.lam, p.hbar)
     assert rate >= -1e-10 * max(1.0, abs(p.lam))
+
+
+def test_report_on_a_huge_well_conditioned_covariance():
+    # An entry of 1e155 squares past the float range though the determinant
+    # does not; the singularity test must not overflow into calling the
+    # matrix singular.
+    sigma = np.array([[1e155, 1e153], [1e153, 1e152]])
+    rep = report(sigma, iso_drift(-1.0), iso(1.0), HBAR)
+    assert rep.area == pytest.approx(2.0 * np.sqrt(9e306))
+    assert rep.area_rate == pytest.approx(2.0 * rep.area)
