@@ -2,12 +2,12 @@
 
 Covariances and diffusion matrices are 2x2, so their determinants, inverses
 and eigenvalues are written out once here.  Callers keep their own
-tolerances.  :func:`det` and :func:`inv` also take a stack of shape
-``(n, 2, 2)``: they index the transpose, which puts the 2x2 indices first,
-so one expression serves a single matrix at scalar speed and a stack at
-array speed, with the same rounding.  The module is private: the
-benchmark's tracer wraps the public functions of the layer modules, and
-these run once per matrix.
+tolerances.  :func:`det`, :func:`check_spd`, :func:`inv` and
+:func:`normalize` also take a stack of shape ``(n, 2, 2)``: they index the
+transpose, which puts the 2x2 indices first, so one expression serves a
+single matrix at scalar speed and a stack at array speed, with the same
+rounding.  The module is private: the benchmark's tracer wraps the public
+functions of the layer modules, and these run once per matrix.
 """
 
 from __future__ import annotations
@@ -25,11 +25,19 @@ def det(m):
 
 
 def check_spd(m, name="matrix"):
-    """Return ``det(m)``; raise :class:`NotSPD` unless ``m`` is positive
-    definite (symmetry is the caller's concern)."""
-    d = det(m)
-    if d <= 0 or m[0, 0] <= 0:
-        raise NotSPD(f"{name} {m.tolist()} is not positive definite")
+    """Return ``det(m)``; raise :class:`NotSPD` unless ``m``, or every matrix
+    of a stack, has finite entries and is positive definite (symmetry is the
+    caller's concern).
+
+    The test is ``not (det > 0 and m11 > 0)``, so a NaN fails it.
+    """
+    ok = np.isfinite(m).all(axis=(-2, -1))
+    if ok.all():
+        d = det(m)
+        ok = (d > 0) & (m.T[0, 0] > 0)
+    if not ok.all():
+        bad = np.reshape(m, (-1, 2, 2))[np.argmin(np.ravel(ok))]
+        raise NotSPD(f"{name} {bad.tolist()} is not finite and positive definite")
     return d
 
 
@@ -38,6 +46,20 @@ def inv(m, d):
     t = m.T
     return np.ascontiguousarray((np.array([[t[1, 1], -t[0, 1]],
                                            [-t[1, 0], t[0, 0]]]) / d).T)
+
+
+def normalize(m):
+    """``(m / s, s)`` with ``s`` the least power of two above the largest
+    |entry| of ``m``, or of each matrix of a stack (1 for a zero matrix).
+
+    Dividing by a power of two is exact, so the determinant and inverse of
+    ``m / s`` are those of ``m`` times ``s**-2`` and ``s`` bit for bit
+    wherever both are normal floats, and the determinant cannot overflow.
+    """
+    t = abs(m.T)
+    top = np.maximum(np.maximum(t[0, 0], t[1, 1]), np.maximum(t[0, 1], t[1, 0]))
+    s = np.ldexp(1.0, np.frexp(top)[1])
+    return (m.T / s).T, s
 
 
 def spectrum(m):

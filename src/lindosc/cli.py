@@ -17,7 +17,7 @@ import numpy as np
 
 from . import (__version__, _mat2, decomposition, dynamics, entropy, model,
                serialize, sieve, wigner)
-from .errors import ConfigError, LindoscError, UnphysicalState
+from .errors import ConfigError, LindoscError, PositivityLost, UnphysicalState
 
 
 def _load_config(path, overrides):
@@ -51,6 +51,8 @@ def _model_from_config(config):
 def _state_from_config(config, hbar):
     spec = config.get("state", {})
     mean = np.asarray(spec.get("mean", [0.0, 0.0]), dtype=float)
+    if not np.isfinite(mean).all():
+        raise UnphysicalState(f"state.mean {mean.tolist()} is not finite")
     has_sigma = "sigma" in spec
     has_dec = all(k in spec for k in ("A", "aleph", "theta"))
     if has_sigma == has_dec:
@@ -128,6 +130,10 @@ def cmd_evolve(config):
     params, report = _valid_model(config)
     state = _state_from_config(config, params.hbar)
     traj = _evolve_from_config(config, params, state)
+    slack = dynamics.heisenberg_slack(traj.sigma[-1], params.hbar)
+    if not math.isfinite(slack):
+        raise PositivityLost(
+            f"det sigma at t = {traj.t[-1]} is beyond the float range", time=traj.t[-1])
     spec = config.get("evolve", {})
     csv_path = spec.get("trajectory_csv")
     if csv_path:
@@ -145,7 +151,7 @@ def cmd_evolve(config):
         "final_entropy_rate": traj.entropy_rate[-1],
         "final_sigma": [[traj.sigma[-1, 0, 0], traj.sigma[-1, 0, 1]],
                         [traj.sigma[-1, 1, 0], traj.sigma[-1, 1, 1]]],
-        "heisenberg_slack": dynamics.heisenberg_slack(traj.sigma[-1], params.hbar),
+        "heisenberg_slack": slack,
     }
     if report.hurwitz:
         stat = dynamics.stationary_covariance(traj.drift, traj.diffusion)
@@ -214,6 +220,12 @@ def cmd_wigner(config):
     state = _state_from_config(config, params.hbar)
     spec = config.get("wigner", {})
     t_index = int(spec.get("t_index", 0))
+    quad = wigner.QuadratureSpec(n_sigma=float(spec.get("n_sigma", 8.0)),
+                                 n_points=int(spec.get("n_points", 201)))
+    if not (quad.n_points >= 2 and 0 < quad.n_sigma < math.inf):
+        raise ConfigError(
+            f"wigner grid needs n_points >= 2 and a finite n_sigma > 0, got "
+            f"{quad.n_points} and {quad.n_sigma}")
 
     if t_index == 0:
         t_value = 0.0
@@ -225,8 +237,6 @@ def cmd_wigner(config):
         state = traj.state(t_index)
         t_value = float(traj.t[t_index])
 
-    quad = wigner.QuadratureSpec(n_sigma=float(spec.get("n_sigma", 8.0)),
-                                 n_points=int(spec.get("n_points", 201)))
     x1, x2, f = wigner.wigner_grid(state, quad)
     serialize.write_csv(spec["grid_csv"], "x1,x2,f", np.column_stack([
         np.repeat(x1, len(x2)), np.tile(x2, len(x1)), f.ravel()]))

@@ -77,8 +77,14 @@ def rhs_mean(mean, drift):
 
 
 def heisenberg_slack(sigma, hbar):
-    """det(sigma) - hbar**2 / 4; negative values flag unphysical states."""
-    return _mat2.det(np.asarray(sigma, dtype=float)) - hbar ** 2 / 4.0
+    """det(sigma) - hbar**2 / 4; negative values flag unphysical states.
+
+    The determinant is taken on sigma scaled by a power of two, so a
+    covariance whose determinant exceeds the float range gives inf, not nan.
+    """
+    unit, s = _mat2.normalize(np.asarray(sigma, dtype=float))
+    with np.errstate(over="ignore"):
+        return s * (s * _mat2.det(unit)) - hbar ** 2 / 4.0
 
 
 def _sigma_generator(drift):

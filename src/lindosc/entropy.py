@@ -2,7 +2,10 @@
 
 :func:`report` takes one covariance matrix or a stack of shape ``(n, 2, 2)``
 and computes every diagnostic elementwise, so a trajectory's samples and a
-single state go through the same arithmetic and agree bit for bit.
+single state go through the same arithmetic and agree bit for bit.  Each
+covariance is first divided by a power of two near its largest entry, which
+is exact: the diagnostics are those of the plain formulas wherever those
+are in range, and stay finite where det sigma alone would overflow.
 """
 
 from __future__ import annotations
@@ -28,29 +31,42 @@ class EntropyReport:
     entropy_rate: float
 
 
-def _area(det, hbar):
+def _area(sigma, hbar):
+    """``(unit, s, A / s, det unit)`` for one covariance or a stack, where
+    ``(unit, s)`` is :func:`_mat2.normalize` of ``sigma``.
+
+    A = 2 sqrt(det sigma) / hbar is formed in units of ``s`` because det sigma
+    overflows for entries past about 1.3e154 while A does not; the scaling is
+    exact, so in-range results are those of the unscaled formula.
+    """
+    unit, s = _mat2.normalize(sigma)
+    det = _mat2.det(unit)
     bad = det <= 0
     if np.any(bad):
-        raise NonPositiveDeterminant(
-            f"det sigma = {np.ravel(det)[np.argmax(bad)]} is not positive")
-    return 2.0 * np.sqrt(det) / hbar
+        with np.errstate(over="ignore"):
+            value = np.ravel(s * (s * det))[np.argmax(bad)]
+        raise NonPositiveDeterminant(f"det sigma = {value} is not positive")
+    return unit, s, 2.0 * np.sqrt(det) / hbar, det
 
 
-def _inv2(m, det):
-    t = m.T
-    scale = np.maximum(np.maximum(abs(t[0, 0]), abs(t[1, 1])),
-                       np.maximum(abs(t[1, 0]), 1e-300))
-    # Divided, not squared: scale ** 2 overflows from entries of about 1e154.
-    singular = (abs(det) <= 1e-300) | (abs(det) / scale < 1e-15 * scale)
+def _inv2(unit, s, det):
+    """Inverse of ``unit * s`` from :func:`_area`'s ``unit``, ``s`` and
+    ``det``; raises :class:`NotSPD` where it is numerically singular."""
+    t = unit.T
+    # At least 1/2: the largest |entry| of a symmetric unit is on this list.
+    scale = np.maximum(np.maximum(abs(t[0, 0]), abs(t[1, 1])), abs(t[1, 0]))
+    singular = abs(det) < 1e-15 * scale * scale
     if np.any(singular):
-        bad = np.reshape(m, (-1, 2, 2))[np.argmax(singular)]
+        i = np.argmax(singular)
+        bad = np.reshape(unit, (-1, 2, 2))[i] * np.ravel(s)[i]
         raise NotSPD(f"covariance matrix {bad.tolist()} is numerically singular")
-    return _mat2.inv(m, det)
+    return (_mat2.inv(unit, det).T / s).T
 
 
 def area(sigma, hbar):
     """Phase-space area A = (2/hbar) sqrt(det sigma); 1 for pure states."""
-    return float(_area(_mat2.det(np.asarray(sigma, dtype=float)), hbar))
+    _, s, a, _ = _area(np.asarray(sigma, dtype=float), hbar)
+    return float(s * a)
 
 
 def linear_entropy(sigma, hbar):
@@ -78,11 +94,9 @@ def initial_rate(sigma0, diffusion, lam, hbar):
     ``-2 * lam``; the oscillatory and mixing parts of the drift are traceless
     and drop out.
     """
-    sigma0 = np.asarray(sigma0, dtype=float)
-    det = _mat2.det(sigma0)
-    a = _area(det, hbar)
-    inv = _inv2(sigma0, det)
-    return (-2.0 * lam + np.trace(inv @ diffusion)) / a
+    unit, s, a, det = _area(np.asarray(sigma0, dtype=float), hbar)
+    inv = _inv2(unit, s, det)
+    return (-2.0 * lam + np.trace(inv @ diffusion)) / (s * a)
 
 
 def report(sigma, drift, diffusion, hbar):
@@ -93,15 +107,16 @@ def report(sigma, drift, diffusion, hbar):
     :class:`~lindosc.errors.NotSPD` for the first matrix that has a
     non-positive or numerically vanishing determinant.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    det = _mat2.det(sigma)
-    a = _area(det, hbar)
-    inv = _inv2(sigma, det).T
+    unit, s, a, det = _area(np.asarray(sigma, dtype=float), hbar)
+    inv = _inv2(unit, s, det).T
     # tr(diffusion @ inv), summed as the diagonal of the product.
     tr_d_inv = ((diffusion[0, 0] * inv[0, 0] + diffusion[0, 1] * inv[0, 1])
                 + (diffusion[1, 0] * inv[1, 0] + diffusion[1, 1] * inv[1, 1]))
+    # dA/dt and ds/dt = (dA/dt) / A**2 in units of s, where A**2 cannot
+    # overflow: both are the unscaled formulas times a power of two.
     da = a * ((drift[0, 0] + drift[1, 1]) + tr_d_inv)
-    return EntropyReport(area=a,
-                         lin_entropy=np.maximum(1.0 - 1.0 / a, 0.0),
-                         area_rate=da,
-                         entropy_rate=da / (a * a))
+    area_ = s * a
+    return EntropyReport(area=area_,
+                         lin_entropy=np.maximum(1.0 - 1.0 / area_, 0.0),
+                         area_rate=s * da,
+                         entropy_rate=da / (a * a) / s)

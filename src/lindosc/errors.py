@@ -51,7 +51,8 @@ class BoxTooSmall(LindoscError):
 
 
 class PositivityLost(LindoscError):
-    """Integrated covariance lost positive definiteness."""
+    """Integrated covariance lost positive definiteness, or the state left
+    the float range."""
     exit_code = 3
 
     def __init__(self, message, time=None):

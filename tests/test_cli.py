@@ -153,6 +153,28 @@ class TestEvolveCommand:
             out.stderr
         assert not (tmp_path / "traj.csv").exists()
 
+    def test_determinant_overflow_is_numerical_failure(self, tmp_path):
+        # The state stays finite, but its entries pass 1e154, where det sigma
+        # overflows: the trajectory's diagnostics stay finite, and the
+        # summary's Heisenberg slack, beyond the float range, stops the run
+        # with one line, no warning and no output file.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        sets = {"model.lambda": -40, "model.diffusion.D_qq": 20.1,
+                "model.diffusion.D_pp": 20.1, "evolve.t_final": 8.8,
+                "evolve.trajectory_csv": str(tmp_path / "traj.csv"),
+                "evolve.summary_json": str(tmp_path / "summary.json")}
+        argv = [sys.executable, "-m", "lindosc.cli", "evolve", "--config",
+                str(root / "demos" / "config_example.json")]
+        for key, value in sets.items():
+            argv += ["--set", f"{key}={value}"]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 3
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, \
+            out.stderr
+        assert not list(tmp_path.iterdir())
+
     def test_invalid_model_is_physics_error(self, tmp_path):
         config = evolve_config(tmp_path)
         config["model"]["lambda"] = 5.0
@@ -259,6 +281,17 @@ class TestWignerCommand:
         assert main(["wigner", "--config", cfg]) == 1
 
 
+    @pytest.mark.parametrize("grid", [{"n_points": 0}, {"n_points": 1},
+                                      {"n_sigma": math.nan}, {"n_sigma": -1.0}],
+                             ids=["0_points", "1_point", "nan_width", "negative_width"])
+    def test_unusable_grid_is_usage_error(self, tmp_path, capsys, grid):
+        cfg = self.wigner_config(tmp_path, **grid)
+        assert main(["wigner", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "wigner.csv").exists()
+
+
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate", "--config", "x.json"]) == 1
 
@@ -299,3 +332,24 @@ def test_sub_heisenberg_state_is_physics_error(tmp_path, capsys, command):
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, value", [
+    ("sigma", {"S11": 1.0, "S12": math.nan, "S22": 1.0}),
+    ("sigma", {"S11": math.inf, "S12": 0.0, "S22": 1.0}),
+    ("mean", [math.nan, 0.0]),
+], ids=["nan_S12", "inf_S11", "nan_mean"])
+@pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner"])
+def test_non_finite_state_is_physics_error(tmp_path, capsys, command, key, value):
+    config = evolve_config(tmp_path)
+    config["state"][key] = value
+    config["sweep"] = {"n_aleph": 5, "n_theta": 4, "aleph_min": 0.5,
+                       "aleph_max": 4.0,
+                       "landscape_csv": str(tmp_path / "land.csv")}
+    config["wigner"] = {"n_points": 11, "grid_csv": str(tmp_path / "w.csv")}
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not [p for p in tmp_path.iterdir() if p.suffix != ".json"]

@@ -208,6 +208,11 @@ class TestHeisenbergSlack:
         assert heisenberg_slack(0.25 * HBAR * np.eye(2), HBAR) == pytest.approx(
             -3.0 / 16.0 * HBAR ** 2)
 
+    def test_beyond_the_float_range_is_inf(self):
+        sigma = np.array([[1.25e306, -1.98e305], [-1.98e305, 4.17e305]])
+        with np.errstate(all="raise"):
+            assert heisenberg_slack(sigma, HBAR) == np.inf
+
 
 # The hand-unrolled RK4 step that the affine propagator replaced, kept as the
 # reference: same scheme, different rounding.

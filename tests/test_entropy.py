@@ -136,3 +136,41 @@ def test_report_on_a_huge_well_conditioned_covariance():
     rep = report(sigma, iso_drift(-1.0), iso(1.0), HBAR)
     assert rep.area == pytest.approx(2.0 * np.sqrt(9e306))
     assert rep.area_rate == pytest.approx(2.0 * rep.area)
+
+
+def test_report_in_range_is_the_unscaled_formula():
+    # Scaling by a power of two is exact, so the report of an in-range stack
+    # is the plain formula bit for bit.
+    rng = np.random.default_rng(5)
+    sigma = np.array([compose(CovDecomposition(A=a, aleph=b, theta=c), HBAR)
+                      for a, b, c in zip(rng.uniform(1, 3, 50),
+                                         rng.uniform(1, 4, 50),
+                                         rng.uniform(0, np.pi, 50))])
+    sigma *= rng.uniform(1e-3, 1e3, 50)[:, None, None]
+    drift, diffusion = iso_drift(0.3), np.array([[0.4, 0.1], [0.1, 0.2]])
+    rep = report(sigma, drift, diffusion, HBAR)
+    det = sigma[:, 0, 0] * sigma[:, 1, 1] - sigma[:, 1, 0] * sigma[:, 0, 1]
+    a = 2.0 * np.sqrt(det) / HBAR
+    inv = np.stack([[sigma[:, 1, 1], -sigma[:, 0, 1]],
+                    [-sigma[:, 1, 0], sigma[:, 0, 0]]]) / det
+    tr_d_inv = ((diffusion[0, 0] * inv[0, 0] + diffusion[0, 1] * inv[1, 0])
+                + (diffusion[1, 0] * inv[0, 1] + diffusion[1, 1] * inv[1, 1]))
+    da = a * ((drift[0, 0] + drift[1, 1]) + tr_d_inv)
+    assert np.array_equal(rep.area, a)
+    assert np.array_equal(rep.area_rate, da)
+    assert np.array_equal(rep.entropy_rate, da / (a * a))
+
+
+def test_report_past_the_determinant_range():
+    # Entries past 1.3e154: det sigma overflows, the diagnostics do not.
+    scale = 2.0 ** 520
+    sigma = np.array([[2.0, 0.3], [0.3, 0.7]])
+    drift, diffusion = iso_drift(0.5), iso(1.0)
+    with np.errstate(all="raise"):
+        rep = report(scale * sigma, drift, diffusion, HBAR)
+    small = report(sigma, drift, diffusion, HBAR)
+    assert rep.area == scale * small.area
+    assert rep.lin_entropy == 1.0
+    tr_d_inv = np.trace(diffusion @ np.linalg.inv(sigma)) / scale
+    assert rep.area_rate == pytest.approx(rep.area * (-1.0 + tr_d_inv), rel=1e-14)
+    assert rep.entropy_rate == pytest.approx((-1.0 + tr_d_inv) / rep.area, rel=1e-14)

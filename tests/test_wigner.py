@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,3 +122,116 @@ class TestFokkerPlanckResidual:
             fp_residual(traj, (0.0, 0.0), 0, 1e-3)
         with pytest.raises(IndexError):
             fp_residual(traj, (0.0, 0.0), len(traj) - 1, 1e-3)
+
+
+# The scalar Wigner layer that the array-valued one replaced, kept as the
+# reference: one SPD check and inverse per point, the stencil as 13 calls,
+# np.trapezoid for the normalization.
+def reference_eval(state, point):
+    sigma = np.asarray(state.sigma, dtype=float)
+    det = sigma[0, 0] * sigma[1, 1] - sigma[1, 0] * sigma[0, 1]
+    inv = np.array([[sigma[1, 1], -sigma[0, 1]], [-sigma[1, 0], sigma[0, 0]]]) / det
+    dx = np.asarray(point, dtype=float) - state.mean
+    return math.exp(-0.5 * (dx @ inv @ dx)) / math.sqrt((2.0 * math.pi) ** 2 * det)
+
+
+def reference_fp_residual(trajectory, point, t_index, h_x):
+    point = np.asarray(point, dtype=float)
+    drift, diffusion = trajectory.drift, trajectory.diffusion
+    state = trajectory.state(t_index)
+    f_plus = reference_eval(trajectory.state(t_index + 1), point)
+    f_minus = reference_eval(trajectory.state(t_index - 1), point)
+    dfdt = (f_plus - f_minus) / (2.0 * trajectory.dt_sample)
+
+    e = np.eye(2) * h_x
+    f0 = reference_eval(state, point)
+    fp = [reference_eval(state, point + e[i]) for i in range(2)]
+    fm = [reference_eval(state, point - e[i]) for i in range(2)]
+    drift_term = 0.0
+    for i in range(2):
+        xp, xm = point + e[i], point - e[i]
+        for j in range(2):
+            drift_term += drift[i, j] * (xp[j] * fp[i] - xm[j] * fm[i]) / (2.0 * h_x)
+    diff_term = 0.0
+    for i in range(2):
+        diff_term += diffusion[i, i] * (fp[i] - 2.0 * f0 + fm[i]) / h_x ** 2
+    corners = [reference_eval(state, point + a * e[0] + b * e[1])
+               for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    diff_term += 2.0 * diffusion[0, 1] * (
+        corners[0] - corners[1] - corners[2] + corners[3]) / (4.0 * h_x ** 2)
+    return dfdt + drift_term - diff_term
+
+
+def reference_grid(state, spec):
+    sigma = np.asarray(state.sigma, dtype=float)
+    det = sigma[0, 0] * sigma[1, 1] - sigma[1, 0] * sigma[0, 1]
+    inv = np.array([[sigma[1, 1], -sigma[0, 1]], [-sigma[1, 0], sigma[0, 0]]]) / det
+    tr = sigma[0, 0] + sigma[1, 1]
+    half = spec.n_sigma * math.sqrt(
+        0.5 * (tr + math.hypot(sigma[0, 0] - sigma[1, 1], 2.0 * sigma[0, 1])))
+    x1 = state.mean[0] + np.linspace(-half, half, spec.n_points)
+    x2 = state.mean[1] + np.linspace(-half, half, spec.n_points)
+    dx1 = x1[:, None] - state.mean[0]
+    dx2 = x2[None, :] - state.mean[1]
+    quad = (inv[0, 0] * dx1 ** 2
+            + 2.0 * inv[0, 1] * dx1 * dx2
+            + inv[1, 1] * dx2 ** 2)
+    f = np.exp(-0.5 * quad) / math.sqrt((2.0 * math.pi) ** 2 * det)
+    return x1, x2, f
+
+
+def seeded_states(seed, n):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        sigma = compose(CovDecomposition(A=rng.uniform(1.0, 2.0),
+                                         aleph=rng.uniform(1.0, 2.5),
+                                         theta=rng.uniform(0.0, math.pi)), HBAR)
+        yield GaussianState(mean=rng.normal(size=2), sigma=sigma), rng
+
+
+class TestAgainstScalarReference:
+    def test_array_evaluation_is_per_point_evaluation(self):
+        for state, rng in seeded_states(11, 5):
+            points = state.mean + rng.normal(scale=2.0, size=(64, 2))
+            f = wigner_eval(state, points)
+            assert f.shape == (64,)
+            assert np.array_equal(f, [wigner_eval(state, p) for p in points])
+            ref = np.array([reference_eval(state, p) for p in points])
+            assert np.all(np.abs(f - ref) <= 1e-13 * ref)
+
+    def test_fp_residual_matches_the_thirteen_call_stencil(self):
+        p = damped_params()
+        worst = 0.0
+        for state, rng in seeded_states(12, 6):
+            traj = evolve(state, p, 0.02, 1e-3, sample_every=1)
+            sd = math.sqrt(max(np.linalg.eigvalsh(traj.sigma[10])))
+            for h_x in (1e-2, 2e-2):
+                for u in rng.uniform(-2.0, 2.0, size=(20, 2)):
+                    point = traj.mean[10] + u * sd
+                    f = reference_eval(traj.state(10), point)
+                    err = abs(fp_residual(traj, point, 10, h_x)
+                              - reference_fp_residual(traj, point, 10, h_x))
+                    worst = max(worst, err / (f / h_x ** 2))
+        assert worst <= 1e-12
+
+    def test_normalization_matches_trapezoid(self):
+        for state, _ in seeded_states(13, 5):
+            for spec in (QuadratureSpec(8.0, 301), QuadratureSpec(6.0, 501)):
+                x1, x2, f = reference_grid(state, spec)
+                ref = np.trapezoid(np.trapezoid(f, x2, axis=1), x1)
+                assert abs(wigner_normalization(state, spec) - ref) <= 1e-14
+
+    def test_grid_is_bit_identical(self):
+        for state, _ in seeded_states(14, 5):
+            spec = QuadratureSpec(8.0, 201)
+            for got, want in zip(wigner_grid(state, spec),
+                                 reference_grid(state, spec)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_indefinite_neighbour_sample_rejected(self, offset):
+        traj = evolve(coherent(), damped_params(), 0.01, 1e-3, sample_every=1)
+        sigma = traj.sigma.copy()
+        sigma[5 + offset] = np.diag([1.0, -1.0])
+        with pytest.raises(NotSPD):
+            fp_residual(dataclasses.replace(traj, sigma=sigma), (0.1, 0.2), 5, 1e-3)
