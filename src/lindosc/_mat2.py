@@ -25,40 +25,50 @@ def det(m):
 
 
 def check_spd(m, name="matrix"):
-    """Return ``det(m)``; raise :class:`NotSPD` unless ``m``, or every matrix
-    of a stack, has finite entries and is positive definite (symmetry is the
-    caller's concern).
+    """Return ``(unit, s, det(unit))`` with ``(unit, s)`` :func:`normalize`
+    of ``m``; raise :class:`NotSPD` unless ``m``, or every matrix of a stack,
+    has finite entries and is positive definite (symmetry is the caller's
+    concern).
 
-    The test is ``not (det > 0 and m11 > 0)``, so a NaN fails it.
+    The test is ``not min(det, m11) > 0`` on ``unit``, so a NaN fails it,
+    and a determinant past the float range does not.
     """
-    ok = np.isfinite(m).all(axis=(-2, -1))
-    if ok.all():
-        d = det(m)
-        ok = (d > 0) & (m.T[0, 0] > 0)
+    if np.isfinite(m).all():
+        unit, s = normalize(m)
+        d = det(unit)
+        ok = np.minimum(d, unit.T[0, 0]) > 0
+    else:
+        ok = np.isfinite(m).all(axis=(-2, -1))
     if not ok.all():
         bad = np.reshape(m, (-1, 2, 2))[np.argmin(np.ravel(ok))]
         raise NotSPD(f"{name} {bad.tolist()} is not finite and positive definite")
-    return d
+    return unit, s, d
+
+
+#: Signs of the adjugate's entries.
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def inv(m, d):
-    """Inverse of ``m`` given its determinant ``d``."""
-    t = m.T
-    return np.ascontiguousarray((np.array([[t[1, 1], -t[0, 1]],
-                                           [-t[1, 0], t[0, 0]]]) / d).T)
+    """Inverse of ``m``, or of each matrix of a stack, given its
+    determinant ``d``."""
+    adjugate = np.swapaxes(m[..., ::-1, ::-1], -1, -2) * _ADJUGATE_SIGNS
+    return adjugate / np.asarray(d)[..., None, None]
 
 
 def normalize(m):
-    """``(m / s, s)`` with ``s`` the least power of two above the largest
-    |entry| of ``m``, or of each matrix of a stack (1 for a zero matrix).
+    """``(m / s, s)`` with ``s`` the greatest power of two not above the
+    largest |entry| of ``m``, or of each matrix of a stack (1/2 for a zero
+    matrix), so the largest |entry| of ``m / s`` is in [1, 2).
 
     Dividing by a power of two is exact, so the determinant and inverse of
     ``m / s`` are those of ``m`` times ``s**-2`` and ``s`` bit for bit
     wherever both are normal floats, and the determinant cannot overflow.
+    ``s`` itself is finite for every finite ``m``.
     """
     t = abs(m.T)
     top = np.maximum(np.maximum(t[0, 0], t[1, 1]), np.maximum(t[0, 1], t[1, 0]))
-    s = np.ldexp(1.0, np.frexp(top)[1])
+    s = np.ldexp(0.5, np.frexp(top)[1])
     return (m.T / s).T, s
 
 

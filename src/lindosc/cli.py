@@ -116,9 +116,23 @@ def cmd_validate(config):
     return 0 if report.passed else 2
 
 
+#: 4 times this is the largest float.
+_LARGEST_COEFFICIENT = np.finfo(float).max / 4.0
+
+
 def _valid_model(config):
-    """The config's model and its validation report, which must pass."""
+    """The config's model and its validation report, which must pass.
+
+    The scaled drift and diffusion must stay finite when multiplied by 4,
+    the largest factor any layer applies to them before it sums.
+    """
     params = _model_from_config(config)
+    for name, m in (("drift", model.build_drift(params)),
+                    ("diffusion", model.build_scaled_diffusion(params))):
+        if not (abs(m) <= _LARGEST_COEFFICIENT).all():
+            raise ConfigError(
+                f"model {name} {m.tolist()} is not finite or is too large: "
+                f"4 times it passes the float range")
     report = model.validate(params)
     if not report.passed:
         raise UnphysicalState(
@@ -168,6 +182,16 @@ def _diffusion_decomposition(params):
     return decomposition.decompose_diffusion(scaled, params.hbar)
 
 
+def _check_grid(command, n_aleph, n_theta, lo, hi):
+    """Raise :class:`ConfigError` unless the (aleph, theta) grid of ``command``
+    has a point and a finite, positive aleph range ``lo <= hi``."""
+    if not (n_aleph >= 1 and n_theta >= 1 and 0 < lo <= hi < math.inf):
+        raise ConfigError(
+            f"{command} grid needs n_aleph >= 1, n_theta >= 1 and "
+            f"0 < aleph_min <= aleph_max < inf, got n_aleph = {n_aleph}, "
+            f"n_theta = {n_theta}, aleph range ({lo}, {hi})")
+
+
 def cmd_sieve(config):
     params, _ = _valid_model(config)
     diff = _diffusion_decomposition(params)
@@ -177,6 +201,7 @@ def cmd_sieve(config):
     n_theta = int(spec.get("n_theta", 361))
     lo = float(spec.get("aleph_min", diff.d / 4.0))
     hi = float(spec.get("aleph_max", diff.d * 4.0))
+    _check_grid("sieve", n_aleph, n_theta, lo, hi)
     result = sieve.run_sieve(area, params.lam, diff,
                              n_aleph=n_aleph, n_theta=n_theta,
                              aleph_range=(lo, hi))
@@ -207,10 +232,12 @@ def cmd_sweep(config):
     spec = config.get("sweep")
     if not spec:
         raise ConfigError("config is missing the 'sweep' section")
+    n_aleph, n_theta = int(spec["n_aleph"]), int(spec["n_theta"])
+    lo, hi = float(spec["aleph_min"]), float(spec["aleph_max"])
+    _check_grid("sweep", n_aleph, n_theta, lo, hi)
     table = sieve.rate_landscape(
         _area_from_config(config, params.hbar), params.lam, diff,
-        n_aleph=int(spec["n_aleph"]), n_theta=int(spec["n_theta"]),
-        aleph_range=(float(spec["aleph_min"]), float(spec["aleph_max"])))
+        n_aleph=n_aleph, n_theta=n_theta, aleph_range=(lo, hi))
     serialize.write_csv(spec["landscape_csv"], "aleph,theta,rate", table)
     return 0
 

@@ -50,13 +50,14 @@ def _check_symmetric(m):
         raise NotSPD(f"matrix {m.tolist()} is not symmetric")
 
 
-def _decompose(m, det, hbar):
-    """Closed-form (scale, ratio, angle) of a symmetric 2x2 matrix of
-    determinant ``det``, the inverse of :func:`_compose`.
+def _decompose(m, s, det, hbar):
+    """Closed-form (scale, ratio, angle) of the symmetric 2x2 matrix
+    ``m * s``, given ``det = det(m)``; the inverse of :func:`_compose`.
 
     ``ratio**2 = lambda_max / sqrt(det) >= 1`` and ``angle in [0, pi)``
     orients the congruence so the large eigenvalue sits on the first
-    diagonal slot.
+    diagonal slot.  With ``s`` a power of two, the scale of ``m * s`` is that
+    of ``m`` times ``s`` exactly, and ratio and angle do not depend on ``s``.
     """
     sqrt_det = math.sqrt(det)
     _, _, lam_max = _mat2.spectrum(m)
@@ -65,7 +66,7 @@ def _decompose(m, det, hbar):
         ratio2, angle = 1.0, 0.0
     else:
         angle = 0.5 * math.atan2(-2.0 * m[0, 1], m[0, 0] - m[1, 1]) % math.pi
-    return 2.0 * sqrt_det / hbar, math.sqrt(ratio2), angle
+    return 2.0 * sqrt_det / hbar * float(s), math.sqrt(ratio2), angle
 
 
 def _compose(scale, ratio, angle, hbar):
@@ -76,10 +77,14 @@ def _compose(scale, ratio, angle, hbar):
 
 
 def decompose(m, hbar):
-    """Decompose an SPD covariance matrix into (A, aleph, theta)."""
+    """Decompose an SPD covariance matrix into (A, aleph, theta).
+
+    The determinant is taken on ``m`` scaled by a power of two
+    (:func:`_mat2.check_spd`), so A stays finite where det m overflows.
+    """
     m = np.asarray(m, dtype=float)
     _check_symmetric(m)
-    return CovDecomposition(*_decompose(m, _mat2.check_spd(m), hbar))
+    return CovDecomposition(*_decompose(*_mat2.check_spd(m), hbar))
 
 
 def compose(dec, hbar):
@@ -96,7 +101,7 @@ def decompose_diffusion(d_matrix, hbar):
         raise SingularDiffusion(
             "diffusion matrix has non-positive determinant; "
             "anisotropy is undefined")
-    return DiffDecomposition(*_decompose(d_matrix, det, hbar))
+    return DiffDecomposition(*_decompose(d_matrix, 1.0, det, hbar))
 
 
 def compose_diffusion(dec, hbar):

@@ -53,7 +53,7 @@ def _inv2(unit, s, det):
     """Inverse of ``unit * s`` from :func:`_area`'s ``unit``, ``s`` and
     ``det``; raises :class:`NotSPD` where it is numerically singular."""
     t = unit.T
-    # At least 1/2: the largest |entry| of a symmetric unit is on this list.
+    # At least 1: the largest |entry| of a symmetric unit is on this list.
     scale = np.maximum(np.maximum(abs(t[0, 0]), abs(t[1, 1])), abs(t[1, 0]))
     singular = abs(det) < 1e-15 * scale * scale
     if np.any(singular):

@@ -5,7 +5,8 @@ the package: ``x1 = sqrt(m*omega) * q`` and ``x2 = p / sqrt(m*omega)``, so
 the covariance entering the Gaussian is exactly ``GaussianState.sigma``.
 
 Every density goes through one preamble, :func:`_density`, which checks and
-inverts one covariance or a stack of them at once, and one expression,
+inverts one covariance or a stack of them at once, on the covariance scaled
+by a power of two so that its determinant cannot overflow, and one expression,
 :func:`_gaussian`, which evaluates points as arrays.  :func:`fp_residual`
 evaluates its whole finite-difference stencil over three samples in one
 call, and :func:`wigner_grid` forms its grid in one preallocated array.
@@ -33,9 +34,14 @@ class QuadratureSpec:
 def _density(sigma):
     """``(inv, norm)`` of the Gaussian with covariance ``sigma``, or of each
     matrix of a stack ``(n, 2, 2)``: the inverse covariance and
-    ``2 pi sqrt(det sigma)``, after one SPD check per matrix."""
-    det = _mat2.check_spd(sigma, "covariance")
-    return _mat2.inv(sigma, det), np.sqrt((2.0 * math.pi) ** 2 * det)
+    ``2 pi sqrt(det sigma)``, after one SPD check per matrix.
+
+    Both are formed on ``sigma / s``, ``s`` a power of two, and scaled back,
+    which is exact: in-range results are those of the plain formulas, and a
+    covariance whose determinant overflows keeps a finite density.
+    """
+    unit, s, det = _mat2.check_spd(sigma, "covariance")
+    return _mat2.inv(unit, det * s), np.sqrt((2.0 * math.pi) ** 2 * det) * s
 
 
 def _gaussian(inv, norm, dx1, dx2, out=None):

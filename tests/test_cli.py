@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindosc import __version__
+from lindosc import (CovDecomposition, GaussianState, QuadratureSpec,
+                     __version__, area, build_scaled_diffusion, compose,
+                     decompose_diffusion, model_from_dict, rate_landscape,
+                     wigner_grid)
 from lindosc.cli import main
 
 
@@ -353,3 +356,82 @@ def test_non_finite_state_is_physics_error(tmp_path, capsys, command, key, value
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not [p for p in tmp_path.iterdir() if p.suffix != ".json"]
+
+
+def grid_config(tmp_path):
+    config = evolve_config(tmp_path)
+    config["sieve"] = {"n_aleph": 21, "n_theta": 18,
+                       "summary_json": str(tmp_path / "sieve.json")}
+    config["sweep"] = {"n_aleph": 5, "n_theta": 4, "aleph_min": 0.5,
+                       "aleph_max": 4.0,
+                       "landscape_csv": str(tmp_path / "land.csv")}
+    return config
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, key, value", [
+    ("sieve", "n_aleph", 0), ("sieve", "n_theta", 0),
+    ("sieve", "aleph_min", -1.0), ("sieve", "aleph_min", math.nan),
+    ("sweep", "n_aleph", 0), ("sweep", "n_theta", 0),
+    ("sweep", "aleph_min", -1.0), ("sweep", "aleph_min", 0.0),
+    ("sweep", "aleph_min", 5.0), ("sweep", "aleph_max", math.inf),
+])
+def test_unusable_sieve_or_sweep_grid_is_usage_error(tmp_path, capsys, command,
+                                                     key, value):
+    config = grid_config(tmp_path)
+    config[command][key] = value
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not [p for p in tmp_path.iterdir() if p.suffix != ".json"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", ["D_qq", "D_pp"])
+@pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner"])
+def test_model_past_the_float_range_is_usage_error(tmp_path, capsys, command, key):
+    config = grid_config(tmp_path)
+    config["model"]["diffusion"][key] = 1e308
+    config["wigner"] = {"n_points": 11, "grid_csv": str(tmp_path / "w.csv")}
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not [p for p in tmp_path.iterdir() if p.suffix != ".json"]
+
+
+def per_value_csv(header, table):
+    return (header + "\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n"
+        for row in np.asarray(table).tolist())).encode()
+
+
+def test_example_grid_tables_are_per_value_formatting(tmp_path):
+    # The example config's grid tables against the library's own arrays,
+    # each cell printed on its own at 17 significant digits.
+    root = Path(__file__).resolve().parents[1]
+    example = str(root / "demos" / "config_example.json")
+    config = json.loads(Path(example).read_text())
+    sets = ["--set", f"wigner.grid_csv={tmp_path / 'wigner.csv'}",
+            "--set", f"wigner.sidecar_json={tmp_path / 'wigner.json'}",
+            "--set", f"sweep.landscape_csv={tmp_path / 'landscape.csv'}"]
+    assert main(["wigner", "--config", example] + sets) == 0
+    assert main(["sweep", "--config", example] + sets) == 0
+
+    params = model_from_dict(config["model"])
+    spec = config["state"]
+    state = GaussianState(mean=spec["mean"], sigma=compose(
+        CovDecomposition(spec["A"], spec["aleph"], spec["theta"]), params.hbar))
+    x1, x2, f = wigner_grid(state, QuadratureSpec(
+        n_points=config["wigner"]["n_points"]))
+    assert (tmp_path / "wigner.csv").read_bytes() == per_value_csv("x1,x2,f", [
+        (a, b, f[i, j]) for i, a in enumerate(x1) for j, b in enumerate(x2)])
+
+    sweep = config["sweep"]
+    diff = decompose_diffusion(build_scaled_diffusion(params), params.hbar)
+    table = rate_landscape(area(state.sigma, params.hbar), params.lam, diff,
+                           sweep["n_aleph"], sweep["n_theta"],
+                           (sweep["aleph_min"], sweep["aleph_max"]))
+    assert (tmp_path / "landscape.csv").read_bytes() == per_value_csv(
+        "aleph,theta,rate", table)

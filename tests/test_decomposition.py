@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lindosc import decomposition
 from lindosc import (CovDecomposition, DiffDecomposition, LindbladCouplings,
                      ModelParams, build_scaled_diffusion, compose,
                      compose_diffusion, decompose, decompose_diffusion)
@@ -142,3 +143,24 @@ def test_diffusion_intensity_dominates_friction(re_a, im_a, re_b, im_b,
     except SingularDiffusion:
         return
     assert dec.Delta >= abs(p.lam) - 1e-9 * max(1.0, abs(p.lam))
+
+
+def test_decompose_in_range_is_the_unscaled_formula():
+    # decompose takes the determinant on m divided by a power of two, which
+    # is exact: in range, (A, aleph, theta) are bit for bit those of the
+    # closed form on m itself.
+    rng = np.random.default_rng(22)
+    for (a, aleph, theta), scale in zip(random_triples(200, seed=22),
+                                        10.0 ** rng.uniform(-100, 100, 200)):
+        m = compose(CovDecomposition(a, aleph, theta), HBAR) * scale
+        det = m[0, 0] * m[1, 1] - m[1, 0] * m[0, 1]
+        assert decompose(m, HBAR) == CovDecomposition(
+            *decomposition._decompose(m, 1.0, det, HBAR))
+
+
+@pytest.mark.filterwarnings("error")
+def test_decompose_past_the_determinant_range():
+    # det m = 1e320 overflows; A = 2 sqrt(det m) / hbar does not.
+    dec = decompose(1e160 * np.eye(2), HBAR)
+    assert dec.A == pytest.approx(2e160, rel=1e-15)
+    assert (dec.aleph, dec.theta) == (1.0, 0.0)

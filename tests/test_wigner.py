@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lindosc import _mat2, wigner
 from lindosc import (CovDecomposition, GaussianState, ModelParams,
                      QuadratureSpec, compose, evolve, fp_residual,
                      stationary_covariance, wigner_eval, wigner_grid,
@@ -235,3 +236,40 @@ class TestAgainstScalarReference:
         sigma[5 + offset] = np.diag([1.0, -1.0])
         with pytest.raises(NotSPD):
             fp_residual(dataclasses.replace(traj, sigma=sigma), (0.1, 0.2), 5, 1e-3)
+
+
+class TestScaledDeterminant:
+    def test_in_range_density_is_the_plain_formula(self):
+        # The determinant is taken on sigma divided by a power of two, which
+        # is exact: in range, the inverse and the norm are bit for bit those
+        # of the unscaled formulas, for a stack and for each matrix.
+        rng = np.random.default_rng(21)
+        sigma = np.array([state.sigma for state, _ in seeded_states(21, 40)])
+        sigma *= 10.0 ** rng.uniform(-100.0, 100.0, 40)[:, None, None]
+        det = sigma[:, 0, 0] * sigma[:, 1, 1] - sigma[:, 1, 0] * sigma[:, 0, 1]
+        inv = np.stack([[sigma[:, 1, 1], -sigma[:, 0, 1]],
+                        [-sigma[:, 1, 0], sigma[:, 0, 0]]]).transpose(2, 0, 1)
+        inv /= det[:, None, None]
+        norm = np.sqrt((2.0 * math.pi) ** 2 * det)
+        got_inv, got_norm = wigner._density(sigma)
+        assert np.array_equal(got_inv, inv) and np.array_equal(got_norm, norm)
+        for k in range(len(sigma)):
+            one_inv, one_norm = wigner._density(sigma[k])
+            assert np.array_equal(one_inv, inv[k]) and one_norm == norm[k]
+
+    @pytest.mark.filterwarnings("error")
+    def test_density_past_the_determinant_range(self):
+        # det sigma = 1e320 overflows; the density does not.
+        state = GaussianState(mean=[0.0, 0.0], sigma=1e160 * np.eye(2))
+        f = wigner_eval(state, (0.0, 0.0))
+        assert f == pytest.approx(1.0 / (2.0 * math.pi * 1e160), rel=1e-15)
+        assert np.array_equal(wigner_eval(state, np.zeros((3, 2))), [f] * 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_spd_check_up_to_the_largest_float(self):
+        # The power of two is taken at or below the largest entry, so it is
+        # finite however large a finite entry is.
+        m = np.diag([1.7e308, 1e308])
+        unit, s, det = _mat2.check_spd(m)
+        assert s == 2.0 ** 1023 and np.array_equal(unit * s, m)
+        assert det == (1.7e308 / s) * (1e308 / s)
