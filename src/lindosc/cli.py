@@ -1,14 +1,16 @@
 """Command-line front end.
 
 One self-describing JSON config drives each run; ``--set key=value`` applies
-dotted-path overrides.  Exit codes: 0 success, 1 usage/parse error, 2
-physics-constraint error, 3 numerical failure; each error class in
+dotted-path overrides.  ``_SCHEMA`` declares every key, and the whole config
+is checked against it at load.  Exit codes: 0 success, 1 usage/parse error,
+2 physics-constraint error, 3 numerical failure; each error class in
 :mod:`lindosc.errors` declares its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -24,7 +26,7 @@ def _load_config(path, overrides):
     try:
         with open(path) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for item in overrides or []:
         if "=" not in item:
@@ -32,70 +34,182 @@ def _load_config(path, overrides):
         key, _, raw = item.partition("=")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:
             value = raw
         node = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = value
+        *parents, leaf = key.split(".")
+        for part in parents:
+            node = node.setdefault(part, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            raise ConfigError(f"--set {key} runs through a value that is not an object")
+        node[leaf] = value
     return config
 
 
-def _model_from_config(config):
-    if "model" not in config:
-        raise ConfigError("config is missing the 'model' section")
-    return model.model_from_dict(config["model"])
+#: Marks a key without a default.
+_REQUIRED = object()
+
+#: The most evolve steps, sieve or sweep grid cells or wigner grid points one
+#: config may ask for.  On a 2-CPU host an evolve of 10**5 steps sampled every
+#: step takes 0.7 s and 35 MB, growing linearly; the tests, demos and benchmark
+#: ask for 144 761 at most.
+_MAX_SIZE = 10 ** 6
+
+#: Bound on m, omega, hbar, d, aleph, their inverses and each drift and scaled
+#: diffusion entry.  The layers form products of two of them (m*omega, det D,
+#: lambda**2 hbar**2, aleph**2) and sum up to four such, which stays finite.
+_LARGEST = 2.0 ** 510
+
+# Ranges: (text, test); the test is false for NaN except in _ANY.
+_ANY = ("", lambda x: True)
+_FINITE = ("finite", math.isfinite)
+_POSITIVE = ("> 0, finite", lambda x: 0 < x < math.inf)
+_SCALE = ("in [2**-510, 2**510]", lambda x: 1.0 / _LARGEST <= x <= _LARGEST)
+_COUNT = (">= 1", lambda n: n >= 1)
+_PATH = (str, _ANY, None)
+
+#: Every config key: name -> (type, range, default); rules between keys are
+#: in _check_config.  A type is int, float (a JSON integer or float), str,
+#: "pair" (2 floats) or a table (an object of its keys); a bool is never a
+#: number.  An absent key with default None is None; an absent section with
+#: default {} is filled in from its keys' defaults.
+_SCHEMA = {
+    "model": ({
+        **{k: (float, _SCALE, _REQUIRED) for k in ("m", "omega", "hbar")},
+        "mu": (float, _FINITE, _REQUIRED), "lambda": (float, _FINITE, _REQUIRED),
+        # D_qq, D_pp, D_pq or Delta, d, phi: model.model_from_dict checks which.
+        "diffusion": ({**{k: (float, _FINITE, None)
+                          for k in ("D_qq", "D_pp", "D_pq", "Delta", "phi")},
+                       "d": (float, _SCALE, None)}, None, _REQUIRED)}, None, _REQUIRED),
+    "validate": ({"report_json": _PATH}, None, {}),
+    "state": ({  # physics checks the mean and sigma, with exit 2
+        "mean": ("pair", _ANY, [0.0, 0.0]),
+        "sigma": ({k: (float, _ANY, _REQUIRED) for k in ("S11", "S12", "S22")},
+                  None, None),
+        "A": (float, _FINITE, None), "aleph": (float, _SCALE, None),
+        "theta": (float, _FINITE, None)}, None, None),
+    "evolve": ({
+        "t_final": (float, (">= 0, finite", lambda x: 0 <= x < math.inf), 1.0),
+        "dt": (float, _POSITIVE, 1e-3), "sample_every": (int, _COUNT, 1),
+        "trajectory_csv": _PATH, "summary_json": _PATH}, None, {}),
+    "sieve": ({
+        "n_aleph": (int, _COUNT, 401), "n_theta": (int, _COUNT, 361),
+        # Unset: d/4 and 4d, about the anisotropy d of the model's diffusion.
+        "aleph_min": (float, _POSITIVE, None), "aleph_max": (float, _POSITIVE, None),
+        "summary_json": _PATH}, None, {}),
+    "sweep": ({
+        "n_aleph": (int, _COUNT, _REQUIRED), "n_theta": (int, _COUNT, _REQUIRED),
+        "aleph_min": (float, _POSITIVE, _REQUIRED),
+        "aleph_max": (float, _POSITIVE, _REQUIRED),
+        "landscape_csv": (str, _ANY, _REQUIRED)}, None, None),
+    "wigner": ({
+        "t_index": (int, (">= 0", lambda n: n >= 0), 0),
+        "n_sigma": (float, _POSITIVE, 8.0),
+        "n_points": (int, (">= 2", lambda n: n >= 2), 201),
+        "grid_csv": (str, _ANY, _REQUIRED), "sidecar_json": _PATH}, None, None),
+}
 
 
-def _state_from_config(config, hbar):
-    spec = config.get("state", {})
-    mean = np.asarray(spec.get("mean", [0.0, 0.0]), dtype=float)
-    if not np.isfinite(mean).all():
-        raise UnphysicalState(f"state.mean {mean.tolist()} is not finite")
-    has_sigma = "sigma" in spec
-    has_dec = all(k in spec for k in ("A", "aleph", "theta"))
-    if has_sigma == has_dec:
+def _check(where, kind, limits, value):
+    """``value`` of the key ``where``, checked against its ``_SCHEMA`` type
+    and range, with the defaults of a table filled in."""
+    if value is _REQUIRED:
+        raise ConfigError(f"config is missing {where}")
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where or 'config'} must be an object, got {value!r}")
+        prefix = f"{where}." if where else ""
+        unknown = sorted(value.keys() - kind.keys())
+        if unknown:
+            raise ConfigError(f"unknown config key {prefix + unknown[0]!r}")
+        return {key: None if key not in value and default is None
+                else _check(prefix + key, sub, sub_limits, value.get(key, default))
+                for key, (sub, sub_limits, default) in kind.items()}
+    if kind == "pair":
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ConfigError(f"{where} must be a list of 2 numbers, got {value!r}")
+        return [_check(f"{where}[{i}]", float, limits, v) for i, v in enumerate(value)]
+    ok = not isinstance(value, bool) and isinstance(
+        value, {int: int, float: (int, float), str: str}[kind])
+    try:
+        value = kind(value) if ok else value
+    except OverflowError:  # an integer past the float range
+        ok = False
+    if not (ok and limits[1](value)):
+        raise ConfigError(f"{where} must be {kind.__name__} {limits[0]}".rstrip()
+                          + f", got {value!r}")
+    return value
+
+
+def _bound(what, size):
+    if not size <= _MAX_SIZE:
+        raise ConfigError(f"{what} is {size}, past the bound of {_MAX_SIZE}")
+
+
+def _check_config(config):
+    """``config`` checked against ``_SCHEMA`` and the rules between its keys,
+    with defaults filled in; raises :class:`ConfigError` at the first bad key."""
+    cfg = _check("", _SCHEMA, None, config)
+    # model_from_dict checks the form of the diffusion; what passes the float
+    # range on the way comes out inf or nan, which the bound below rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        params = cfg["model"] = model.model_from_dict(config["model"])
+    for name, matrix in (("drift", model.build_drift(params)),
+                         ("scaled diffusion", model.build_scaled_diffusion(params))):
+        if not (abs(matrix) <= _LARGEST).all():
+            raise ConfigError(f"model {name} {matrix.tolist()} is not within 2**510")
+    state, ev, wig = cfg["state"], cfg["evolve"], cfg["wigner"]
+    if state and (sum(state[k] is not None for k in ("A", "aleph", "theta"))
+                  != 3 * (state["sigma"] is None)):
         raise ConfigError(
             "state must carry exactly one of 'sigma' or ('A', 'aleph', 'theta')")
-    if has_sigma:
-        s = spec["sigma"]
-        sigma = np.array([[float(s["S11"]), float(s["S12"])],
-                          [float(s["S12"]), float(s["S22"])]])
-    else:
-        dec = decomposition.CovDecomposition(A=float(spec["A"]),
-                                             aleph=float(spec["aleph"]),
-                                             theta=float(spec["theta"]))
-        sigma = decomposition.compose(dec, hbar)
-    _mat2.check_spd(sigma, "state.sigma")
-    entropy.linear_entropy(sigma, hbar)  # raises UnphysicalState below area 1
-    return dynamics.GaussianState(mean=mean, sigma=sigma)
-
-
-def _area_from_config(config, hbar):
-    """Phase-space area of the configured state; 1 (pure) without one."""
-    if "state" not in config:
-        return 1.0
-    return entropy.area(_state_from_config(config, hbar).sigma, hbar)
-
-
-def _evolve_from_config(config, params, state):
-    spec = config.get("evolve", {})
-    t_final = float(spec.get("t_final", 1.0))
-    dt = float(spec.get("dt", 1e-3))
-    sample_every = int(spec.get("sample_every", 1))
-    if not (0 < dt < math.inf and t_final >= 0 and math.isfinite(t_final / dt)
-            and sample_every >= 1):
-        raise ConfigError("evolve requires finite dt > 0, t_final >= 0 with "
-                          "t_final/dt finite, and sample_every >= 1")
+    _bound("evolve's step count t_final/dt", ev["t_final"] / ev["dt"])
     # The samples must reach t_final: a run of n steps ends on its last
     # sample only if n is a positive multiple of sample_every.
-    n_steps = round(t_final / dt)
-    if t_final > 0 and (n_steps == 0 or n_steps % sample_every):
+    n_steps = round(ev["t_final"] / ev["dt"])
+    if ev["t_final"] > 0 and (n_steps == 0 or n_steps % ev["sample_every"]):
         raise ConfigError(
             f"evolve runs round(t_final/dt) = {n_steps} steps, which must be a "
-            f"positive multiple of sample_every = {sample_every}")
-    return dynamics.evolve(state, params, t_final, dt, sample_every)
+            f"positive multiple of sample_every = {ev['sample_every']}")
+    for name in ("sieve", "sweep"):
+        grid = cfg[name]
+        if grid is None:
+            continue
+        _bound(f"{name} grid's n_aleph*n_theta", grid["n_aleph"] * grid["n_theta"])
+        lo, hi = grid["aleph_min"], grid["aleph_max"]
+        if None not in (lo, hi) and lo > hi:
+            raise ConfigError(f"{name}.aleph_min {lo} is above {name}.aleph_max {hi}")
+    if wig:
+        _bound("wigner grid's n_points**2", wig["n_points"] ** 2)
+        if wig["t_index"] > n_steps // ev["sample_every"]:
+            raise ConfigError(f"wigner.t_index {wig['t_index']} is past the last sample")
+    return cfg
+
+
+def _section(cfg, name):
+    if cfg[name] is None:
+        raise ConfigError(f"config is missing the '{name}' section")
+    return cfg[name]
+
+
+def _state_from_config(cfg, hbar):
+    spec = _section(cfg, "state")
+    mean = np.array(spec["mean"])
+    if not np.isfinite(mean).all():
+        raise UnphysicalState(f"state.mean {mean.tolist()} is not finite")
+    if spec["sigma"] is not None:
+        s = spec["sigma"]
+        sigma = np.array([[s["S11"], s["S12"]], [s["S12"], s["S22"]]])
+    else:
+        # Past the float range this gives inf or nan, which check_spd rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = decomposition.compose(decomposition.CovDecomposition(
+                spec["A"], spec["aleph"], spec["theta"]), hbar)
+    _mat2.check_spd(sigma, "state.sigma")
+    if entropy.area(sigma, hbar) == math.inf:
+        raise ConfigError(f"state.sigma {sigma.tolist()} has an area past the float range")
+    entropy.linear_entropy(sigma, hbar)  # raises UnphysicalState below area 1
+    return dynamics.GaussianState(mean=mean, sigma=sigma)
 
 
 def _emit(obj, path=None):
@@ -109,30 +223,15 @@ def _emit(obj, path=None):
         print(text)
 
 
-def cmd_validate(config):
-    params = _model_from_config(config)
-    report = model.validate(params)
-    _emit(report.as_dict(), config.get("validate", {}).get("report_json"))
+def cmd_validate(cfg):
+    report = model.validate(cfg["model"])
+    _emit(report.as_dict(), cfg["validate"]["report_json"])
     return 0 if report.passed else 2
 
 
-#: 4 times this is the largest float.
-_LARGEST_COEFFICIENT = np.finfo(float).max / 4.0
-
-
-def _valid_model(config):
-    """The config's model and its validation report, which must pass.
-
-    The scaled drift and diffusion must stay finite when multiplied by 4,
-    the largest factor any layer applies to them before it sums.
-    """
-    params = _model_from_config(config)
-    for name, m in (("drift", model.build_drift(params)),
-                    ("diffusion", model.build_scaled_diffusion(params))):
-        if not (abs(m) <= _LARGEST_COEFFICIENT).all():
-            raise ConfigError(
-                f"model {name} {m.tolist()} is not finite or is too large: "
-                f"4 times it passes the float range")
+def _valid_model(cfg):
+    """The config's model and its validation report, which must pass."""
+    params = cfg["model"]
     report = model.validate(params)
     if not report.passed:
         raise UnphysicalState(
@@ -140,23 +239,22 @@ def _valid_model(config):
     return params, report
 
 
-def cmd_evolve(config):
-    params, report = _valid_model(config)
-    state = _state_from_config(config, params.hbar)
-    traj = _evolve_from_config(config, params, state)
+def cmd_evolve(cfg):
+    params, report = _valid_model(cfg)
+    spec = cfg["evolve"]
+    traj = dynamics.evolve(_state_from_config(cfg, params.hbar), params,
+                           spec["t_final"], spec["dt"], spec["sample_every"])
     slack = dynamics.heisenberg_slack(traj.sigma[-1], params.hbar)
-    if not math.isfinite(slack):
-        raise PositivityLost(
-            f"det sigma at t = {traj.t[-1]} is beyond the float range", time=traj.t[-1])
-    spec = config.get("evolve", {})
-    csv_path = spec.get("trajectory_csv")
-    if csv_path:
-        serialize.write_csv(
-            csv_path, "t,x1,x2,S11,S12,S22,area,lin_entropy,entropy_rate",
-            np.column_stack([
-                traj.t, traj.mean[:, 0], traj.mean[:, 1],
-                traj.sigma[:, 0, 0], traj.sigma[:, 0, 1], traj.sigma[:, 1, 1],
-                traj.area, traj.lin_entropy, traj.entropy_rate]))
+    table = np.column_stack([
+        traj.t, traj.mean[:, 0], traj.mean[:, 1],
+        traj.sigma[:, 0, 0], traj.sigma[:, 0, 1], traj.sigma[:, 1, 1],
+        traj.area, traj.lin_entropy, traj.entropy_rate])
+    if not (math.isfinite(slack) and np.isfinite(table).all()):
+        raise PositivityLost(f"det sigma or a diagnostic is beyond the float range "
+                             f"by t = {traj.t[-1]}", time=traj.t[-1])
+    if spec["trajectory_csv"]:
+        serialize.write_csv(spec["trajectory_csv"],
+                            "t,x1,x2,S11,S12,S22,area,lin_entropy,entropy_rate", table)
 
     summary = {
         "t_final": traj.t[-1],
@@ -168,43 +266,43 @@ def cmd_evolve(config):
         "heisenberg_slack": slack,
     }
     if report.hurwitz:
-        stat = dynamics.stationary_covariance(traj.drift, traj.diffusion)
-        summary["stationary_sigma"] = [[stat[0, 0], stat[0, 1]],
-                                       [stat[1, 0], stat[1, 1]]]
-        summary["stationary_distance"] = float(
-            np.linalg.norm(traj.sigma[-1] - stat))
-    _emit(summary, spec.get("summary_json"))
+        with _in_float_range():
+            stat = dynamics.stationary_covariance(traj.drift, traj.diffusion)
+            summary["stationary_sigma"] = [[stat[0, 0], stat[0, 1]],
+                                           [stat[1, 0], stat[1, 1]]]
+            summary["stationary_distance"] = float(
+                np.linalg.norm(traj.sigma[-1] - stat))
+    _emit(summary, spec["summary_json"])
     return 0
 
 
-def _diffusion_decomposition(params):
-    scaled = model.build_scaled_diffusion(params)
-    return decomposition.decompose_diffusion(scaled, params.hbar)
+def _grid(cfg, name):
+    """The arguments of ``sieve.run_sieve`` and ``sieve.rate_landscape``."""
+    spec = _section(cfg, name)
+    params, _ = _valid_model(cfg)
+    diff = decomposition.decompose_diffusion(
+        model.build_scaled_diffusion(params), params.hbar)
+    area = 1.0 if cfg["state"] is None else entropy.area(
+        _state_from_config(cfg, params.hbar).sigma, params.hbar)
+    lo, hi = spec["aleph_min"], spec["aleph_max"]
+    return (area, params.lam, diff, spec["n_aleph"], spec["n_theta"],
+            (diff.d / 4.0 if lo is None else lo, diff.d * 4.0 if hi is None else hi))
 
 
-def _check_grid(command, n_aleph, n_theta, lo, hi):
-    """Raise :class:`ConfigError` unless the (aleph, theta) grid of ``command``
-    has a point and a finite, positive aleph range ``lo <= hi``."""
-    if not (n_aleph >= 1 and n_theta >= 1 and 0 < lo <= hi < math.inf):
-        raise ConfigError(
-            f"{command} grid needs n_aleph >= 1, n_theta >= 1 and "
-            f"0 < aleph_min <= aleph_max < inf, got n_aleph = {n_aleph}, "
-            f"n_theta = {n_theta}, aleph range ({lo}, {hi})")
+@contextlib.contextmanager
+def _in_float_range():
+    """A number past the float range inside the block is the config's error."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise ConfigError(f"this config asks for a number past the float range ({exc})") from exc
 
 
-def cmd_sieve(config):
-    params, _ = _valid_model(config)
-    diff = _diffusion_decomposition(params)
-    area = _area_from_config(config, params.hbar)
-    spec = config.get("sieve", {})
-    n_aleph = int(spec.get("n_aleph", 401))
-    n_theta = int(spec.get("n_theta", 361))
-    lo = float(spec.get("aleph_min", diff.d / 4.0))
-    hi = float(spec.get("aleph_max", diff.d * 4.0))
-    _check_grid("sieve", n_aleph, n_theta, lo, hi)
-    result = sieve.run_sieve(area, params.lam, diff,
-                             n_aleph=n_aleph, n_theta=n_theta,
-                             aleph_range=(lo, hi))
+def cmd_sieve(cfg):
+    args = _grid(cfg, "sieve")
+    with _in_float_range():
+        result = sieve.run_sieve(*args)
     # Angles are equivalent modulo pi: 0 and pi - 1e-13 are 1e-13 apart.
     theta_gap = abs(result.grid_theta - result.theta_star) % math.pi
     _emit({
@@ -212,7 +310,7 @@ def cmd_sieve(config):
         "theta_star": result.theta_star,
         "min_rate": result.min_rate,
         "degenerate_angle": result.degenerate_angle,
-        "area": area,
+        "area": args[0],
         "grid": {
             "aleph": result.grid_aleph,
             "theta": result.grid_theta,
@@ -222,60 +320,42 @@ def cmd_sieve(config):
         "delta_aleph": abs(result.grid_aleph - result.aleph_star),
         "delta_theta": min(theta_gap, math.pi - theta_gap),
         "delta_rate": abs(result.grid_rate - result.min_rate),
-    }, spec.get("summary_json"))
+    }, cfg["sieve"]["summary_json"])
     return 0
 
 
-def cmd_sweep(config):
-    params, _ = _valid_model(config)
-    diff = _diffusion_decomposition(params)
-    spec = config.get("sweep")
-    if not spec:
-        raise ConfigError("config is missing the 'sweep' section")
-    n_aleph, n_theta = int(spec["n_aleph"]), int(spec["n_theta"])
-    lo, hi = float(spec["aleph_min"]), float(spec["aleph_max"])
-    _check_grid("sweep", n_aleph, n_theta, lo, hi)
-    table = sieve.rate_landscape(
-        _area_from_config(config, params.hbar), params.lam, diff,
-        n_aleph=n_aleph, n_theta=n_theta, aleph_range=(lo, hi))
-    serialize.write_csv(spec["landscape_csv"], "aleph,theta,rate", table)
+def cmd_sweep(cfg):
+    args = _grid(cfg, "sweep")
+    with _in_float_range():
+        table = sieve.rate_landscape(*args)
+    serialize.write_csv(cfg["sweep"]["landscape_csv"], "aleph,theta,rate", table)
     return 0
 
 
-def cmd_wigner(config):
-    params, _ = _valid_model(config)
-    state = _state_from_config(config, params.hbar)
-    spec = config.get("wigner", {})
-    t_index = int(spec.get("t_index", 0))
-    quad = wigner.QuadratureSpec(n_sigma=float(spec.get("n_sigma", 8.0)),
-                                 n_points=int(spec.get("n_points", 201)))
-    if not (quad.n_points >= 2 and 0 < quad.n_sigma < math.inf):
-        raise ConfigError(
-            f"wigner grid needs n_points >= 2 and a finite n_sigma > 0, got "
-            f"{quad.n_points} and {quad.n_sigma}")
+def cmd_wigner(cfg):
+    spec = _section(cfg, "wigner")
+    params, _ = _valid_model(cfg)
+    state = _state_from_config(cfg, params.hbar)
+    quad = wigner.QuadratureSpec(n_sigma=spec["n_sigma"], n_points=spec["n_points"])
+    t_value = 0.0
+    if spec["t_index"]:
+        ev = cfg["evolve"]
+        traj = dynamics.evolve(state, params, ev["t_final"], ev["dt"], ev["sample_every"])
+        state = traj.state(spec["t_index"])
+        t_value = float(traj.t[spec["t_index"]])
 
-    if t_index == 0:
-        t_value = 0.0
-    else:
-        traj = _evolve_from_config(config, params, state)
-        if not 0 <= t_index < len(traj):
-            raise ConfigError(
-                f"t_index {t_index} out of range for {len(traj)} samples")
-        state = traj.state(t_index)
-        t_value = float(traj.t[t_index])
-
-    x1, x2, f = wigner.wigner_grid(state, quad)
+    with _in_float_range():
+        x1, x2, f = wigner.wigner_grid(state, quad)
     serialize.write_csv(spec["grid_csv"], "x1,x2,f", np.column_stack([
         np.repeat(x1, len(x2)), np.tile(x2, len(x1)), f.ravel()]))
-    sidecar = spec.get("sidecar_json")
-    if sidecar:
+    if spec["sidecar_json"]:
         _emit({
             "t": t_value,
             "n_sigma": quad.n_sigma,
             "n_points": quad.n_points,
             "x1_min": x1[0], "x1_max": x1[-1],
             "x2_min": x2[0], "x2_max": x2[-1],
-        }, sidecar)
+        }, spec["sidecar_json"])
     return 0
 
 
@@ -307,14 +387,12 @@ def main(argv=None):
         return 0 if not exc.code else 1
 
     try:
-        config = _load_config(args.config, args.overrides)
-        return _COMMANDS[args.command](config)
-    except LindoscError as exc:
+        cfg = _check_config(_load_config(args.config, args.overrides))
+        return _COMMANDS[args.command](cfg)
+    except (LindoscError, OSError) as exc:
+        # OSError: an output file that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (KeyError, TypeError, ValueError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 def entrypoint():

@@ -84,7 +84,7 @@ def heisenberg_slack(sigma, hbar):
     """
     unit, s = _mat2.normalize(np.asarray(sigma, dtype=float))
     with np.errstate(over="ignore"):
-        return s * (s * _mat2.det(unit)) - hbar ** 2 / 4.0
+        return s * (s * _mat2.det(unit)) - hbar * hbar / 4.0
 
 
 def _sigma_generator(drift):
@@ -110,7 +110,8 @@ def _propagator(drift, diffusion, dt):
     q = dt (I + hG/2 + (hG)^2/6 + (hG)^3/24) c: the classical RK4 stages of a
     linear system with constant coefficients, collapsed into one affine map.
     Stepping the increment, not z -> (I + M) z + q, keeps each step's
-    rounding relative to the increment rather than to z.
+    rounding relative to the increment rather than to z.  A map past the
+    float range makes the first step non-finite, which the step check reports.
     """
     g = np.zeros((5, 5))
     g[:2, :2] = drift
@@ -118,17 +119,18 @@ def _propagator(drift, diffusion, dt):
     c = 2.0 * np.array([0.0, 0.0, diffusion[0, 0], diffusion[0, 1], diffusion[1, 1]])
     eye = np.eye(5)
     hg = dt * g
-    series = eye + hg @ (eye / 2.0 + hg @ (eye / 6.0 + hg / 24.0))
-    return (hg @ series).T.copy(), dt * (series @ c)
+    with np.errstate(all="ignore"):
+        series = eye + hg @ (eye / 2.0 + hg @ (eye / 6.0 + hg / 24.0))
+        return (hg @ series).T.copy(), dt * (series @ c)
 
 
 def _pack(state):
-    """``state`` as one row z = (x1, x2, S11, S12, S22), its covariance
-    symmetrised."""
+    """``state`` as one row z = (x1, x2, S11, S12, S22), S12 the mean of
+    sigma's off-diagonal entries, halved before the sum so it cannot overflow."""
     mean = np.asarray(state.mean, dtype=float)
     sigma = np.asarray(state.sigma, dtype=float)
-    sigma = 0.5 * (sigma + sigma.T)
-    return np.array([mean[0], mean[1], sigma[0, 0], sigma[0, 1], sigma[1, 1]])
+    return np.array([mean[0], mean[1], sigma[0, 0],
+                     0.5 * sigma[0, 1] + 0.5 * sigma[1, 0], sigma[1, 1]])
 
 
 def _unpack(z):

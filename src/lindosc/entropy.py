@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mat2
-from .errors import NonPositiveDeterminant, NotSPD, UnphysicalState
+from .errors import NotSPD, UnphysicalState
 
 #: Areas this far below 1 are treated as rounding noise on a pure state.
 _PURITY_TOL = 1e-9
@@ -45,7 +45,7 @@ def _area(sigma, hbar):
     if np.any(bad):
         with np.errstate(over="ignore"):
             value = np.ravel(s * (s * det))[np.argmax(bad)]
-        raise NonPositiveDeterminant(f"det sigma = {value} is not positive")
+        raise NotSPD(f"det sigma = {value} is not positive")
     return unit, s, 2.0 * np.sqrt(det) / hbar, det
 
 
@@ -64,9 +64,11 @@ def _inv2(unit, s, det):
 
 
 def area(sigma, hbar):
-    """Phase-space area A = (2/hbar) sqrt(det sigma); 1 for pure states."""
+    """Phase-space area A = (2/hbar) sqrt(det sigma); 1 for pure states, and
+    inf past the float range."""
     _, s, a, _ = _area(np.asarray(sigma, dtype=float), hbar)
-    return float(s * a)
+    with np.errstate(over="ignore"):
+        return float(s * a)
 
 
 def linear_entropy(sigma, hbar):
@@ -103,20 +105,22 @@ def report(sigma, drift, diffusion, hbar):
     """All four diagnostics of one covariance matrix or of a stack
     ``(n, 2, 2)``, in one pass.
 
-    Raises :class:`~lindosc.errors.NonPositiveDeterminant` or
-    :class:`~lindosc.errors.NotSPD` for the first matrix that has a
-    non-positive or numerically vanishing determinant.
+    Raises :class:`~lindosc.errors.NotSPD` for the first matrix that has a
+    non-positive or numerically vanishing determinant.  A diagnostic past the
+    float range comes out inf or nan, without a warning.
     """
     unit, s, a, det = _area(np.asarray(sigma, dtype=float), hbar)
     inv = _inv2(unit, s, det).T
-    # tr(diffusion @ inv), summed as the diagonal of the product.
-    tr_d_inv = ((diffusion[0, 0] * inv[0, 0] + diffusion[0, 1] * inv[0, 1])
-                + (diffusion[1, 0] * inv[1, 0] + diffusion[1, 1] * inv[1, 1]))
-    # dA/dt and ds/dt = (dA/dt) / A**2 in units of s, where A**2 cannot
-    # overflow: both are the unscaled formulas times a power of two.
-    da = a * ((drift[0, 0] + drift[1, 1]) + tr_d_inv)
-    area_ = s * a
-    return EntropyReport(area=area_,
-                         lin_entropy=np.maximum(1.0 - 1.0 / area_, 0.0),
-                         area_rate=s * da,
-                         entropy_rate=da / (a * a) / s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # tr(diffusion @ inv), summed as the diagonal of the product.
+        tr_d_inv = ((diffusion[0, 0] * inv[0, 0] + diffusion[0, 1] * inv[0, 1])
+                    + (diffusion[1, 0] * inv[1, 0] + diffusion[1, 1] * inv[1, 1]))
+        # dA/dt and ds/dt = (dA/dt) / A**2 in units of s, where A**2 cannot
+        # overflow for hbar near 1: both are the unscaled formulas times a
+        # power of two.
+        da = a * ((drift[0, 0] + drift[1, 1]) + tr_d_inv)
+        area_ = s * a
+        return EntropyReport(area=area_,
+                             lin_entropy=np.maximum(1.0 - 1.0 / area_, 0.0),
+                             area_rate=s * da,
+                             entropy_rate=da / (a * a) / s)

@@ -12,17 +12,13 @@ class LindoscError(Exception):
 
 
 class ConfigError(LindoscError):
-    """Malformed configuration or model document."""
+    """Malformed configuration or model document, or a search range that
+    does not bracket the optimum."""
 
 
 class NotSPD(LindoscError):
-    """Matrix expected to be symmetric positive definite is not, or is
-    numerically singular."""
-    exit_code = 2
-
-
-class NonPositiveDeterminant(LindoscError):
-    """Covariance determinant is not strictly positive."""
+    """Matrix expected to be symmetric positive definite is not: its
+    determinant is not positive, or it is numerically singular."""
     exit_code = 2
 
 
@@ -40,10 +36,6 @@ class NotStable(LindoscError):
     """Drift matrix is not Hurwitz, or the stationary-covariance system is
     numerically singular; no stationary covariance is computed."""
     exit_code = 3
-
-
-class BracketError(LindoscError):
-    """Search range does not bracket the analytic optimum."""
 
 
 class BoxTooSmall(LindoscError):

@@ -117,8 +117,9 @@ def derive_coefficients(couplings, hbar):
 
 def validate(params):
     """Check the diffusion-positivity constraint and report stability data."""
-    det = params.D_pp * params.D_qq - params.D_pq ** 2
-    slack = det - params.lam ** 2 * params.hbar ** 2 / 4
+    # Products, not **: past the float range they give inf where ** raises.
+    det = params.D_pp * params.D_qq - params.D_pq * params.D_pq
+    slack = det - (params.lam * params.lam) * (params.hbar * params.hbar) / 4
     tol = _VALIDATION_RTOL * max(1.0, abs(params.D_pp * params.D_qq))
 
     d_qq_ok = params.D_qq >= 0

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BracketError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def analytic_minimizer(area, lam, diff):
 def _default_grids(diff, n_aleph, n_theta, aleph_range):
     lo, hi = aleph_range
     if not lo < diff.d < hi and not (lo == hi == diff.d):
-        raise BracketError(
+        raise ConfigError(
             f"aleph range {aleph_range} does not bracket the anisotropy {diff.d}")
     alephs = np.geomspace(lo, hi, n_aleph)
     thetas = np.linspace(0.0, math.pi, n_theta, endpoint=False)

@@ -1,18 +1,26 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindosc import (CovDecomposition, GaussianState, QuadratureSpec,
                      __version__, area, build_scaled_diffusion, compose,
                      decompose_diffusion, model_from_dict, rate_landscape,
                      wigner_grid)
-from lindosc.cli import main
+from lindosc.cli import _MAX_SIZE, _check_config, main
+from lindosc.errors import ConfigError
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -388,11 +396,14 @@ def test_unusable_sieve_or_sweep_grid_is_usage_error(tmp_path, capsys, command,
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("key", ["D_qq", "D_pp"])
+@pytest.mark.parametrize("key, value", [("D_qq", 1e308), ("D_pp", 1e308),
+                                        ("D_qq", 1e300), ("D_qq", 1e307)],
+                         ids=["D_qq", "D_pp", "D_qq_1e300", "D_qq_1e307"])
 @pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner"])
-def test_model_past_the_float_range_is_usage_error(tmp_path, capsys, command, key):
+def test_model_past_the_float_range_is_usage_error(tmp_path, capsys, command, key,
+                                                   value):
     config = grid_config(tmp_path)
-    config["model"]["diffusion"][key] = 1e308
+    config["model"]["diffusion"][key] = value
     config["wigner"] = {"n_points": 11, "grid_csv": str(tmp_path / "w.csv")}
     cfg = write_config(tmp_path, config)
     assert main([command, "--config", cfg]) == 1
@@ -435,3 +446,142 @@ def test_example_grid_tables_are_per_value_formatting(tmp_path):
                            (sweep["aleph_min"], sweep["aleph_max"]))
     assert (tmp_path / "landscape.csv").read_bytes() == per_value_csv(
         "aleph,theta,rate", table)
+
+
+def run_main(argv):
+    """``main(argv)`` with warnings as errors: its exit code and stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+def small_config():
+    """A config every command accepts, with outputs in the working directory."""
+    config = {"model": {"m": 1.0, "omega": 1.0, "mu": 0.1, "hbar": 1.0,
+                        "lambda": 0.5,
+                        "diffusion": {"D_qq": 0.6, "D_pp": 0.5, "D_pq": 0.1}},
+              "state": {"mean": [1.0, -0.5], "A": 1.5, "aleph": 2.0, "theta": 0.8},
+              "evolve": {"t_final": 0.1, "dt": 0.01, "sample_every": 2,
+                         "trajectory_csv": "t.csv", "summary_json": "e.json"},
+              "sieve": {"n_aleph": 5, "n_theta": 4, "summary_json": "s.json"},
+              "sweep": {"n_aleph": 3, "n_theta": 2, "aleph_min": 0.5,
+                        "aleph_max": 4.0, "landscape_csv": "l.csv"},
+              "wigner": {"t_index": 1, "n_points": 5, "grid_csv": "w.csv"},
+              "validate": {"report_json": "v.json"}}
+    return config
+
+
+def key_paths(doc, prefix=""):
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + key + ".")
+
+
+KEY_PATHS = sorted(key_paths(small_config())) + [
+    "model.diffusion.Delta", "model.diffusion.d", "model.diffusion.phi",
+    "state.sigma", "state.sigma.S11", "state.sigma.S12", "state.sigma.S22",
+    "sieve.aleph_min", "sieve.aleph_max", "wigner.n_sigma",
+    "wigner.sidecar_json", "nope", "evolve.nope", ""]
+
+# The edges of the declared ranges, and values of every wrong kind.  The
+# size bound is tested on its own: an accepted size here stays small.
+EDGES = [0, 1, 2, 3, -1, 10 ** 20, 0.0, -0.0, 0.5, 1.5, 4.0, 5e-324,
+         2.0 ** -510, 2.0 ** 510, 2.0 ** 511, 1e300, 1.7e308, math.inf,
+         -math.inf, math.nan, True, False, None, "x", [], [1.0, 2.0],
+         [1, 2, 3], {}, {"S11": 1.0, "S12": 0.0, "S22": 1.0},
+         {"Delta": 1.0, "d": 2.0, "phi": 0.4}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["validate", "evolve", "sieve", "sweep", "wigner"]),
+       in_file=st.lists(st.tuples(st.sampled_from(KEY_PATHS), st.sampled_from(EDGES)),
+                        max_size=3),
+       overrides=st.lists(st.tuples(st.sampled_from(KEY_PATHS), st.sampled_from(EDGES)),
+                          max_size=3),
+       sigma_form=st.booleans())
+def test_every_config_ends_in_a_documented_exit(command, in_file, overrides,
+                                                 sigma_form):
+    config = small_config()
+    if sigma_form:
+        config["state"] = {"sigma": {"S11": 0.8, "S12": 0.1, "S22": 0.9}}
+    for path, value in in_file:
+        *parents, leaf = path.split(".")
+        node = config
+        for part in parents:
+            node = node.setdefault(part, {}) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node[leaf] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            Path("c.json").write_text(json.dumps(config))
+            argv = [command, "--config", "c.json"]
+            for path, value in overrides:
+                argv += ["--set", f"{path}={json.dumps(value)}"]
+            code, err = run_main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    # validate exits 2 with no message when its report fails.
+    assert err == "" or err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, override", [
+    ("validate", "model.diffusion.D_pq=1e308"),
+    ("validate", "model.lambda=1e200"),
+    ("validate", "model.hbar=1e200"),
+    ("sieve", "sieve.n_aleph=1e400"),
+    ("evolve", "state.aleph=0"),
+    ("evolve", 'model.diffusion={"Delta": 1, "d": 0, "phi": 0}'),
+    ("evolve", "state=[]"),
+    ("evolve", "evolve=5"),
+    ("evolve", "evolve.sample_every=1.5"),
+    ("wigner", "wigner.t_index=1.5"),
+    ("wigner", "wigner.n_points=3.7"),
+    ("sieve", "sieve.n_aleph=true"),
+    ("evolve", "state.mean=[1, 2, 3]"),
+    ("evolve", "state.mean=[1]"),
+    ("evolve", 'state.mean=["a", 1]'),
+    ("evolve", 'state.sigma={"S11": 1}'),
+    ("evolve", "evolve.dtt=1"),
+    ("evolve", "=1"),
+    ("evolve", "evolve.dt.x=1"),
+    ("sieve", "model.diffusion.D_qq=1e300"),
+    ("sieve", "model.diffusion.D_qq=1e307"),
+])
+def test_bad_input_is_a_one_line_usage_error(tmp_path, command, override):
+    example = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
+    outputs = {"validate.report_json": "v.json", "evolve.trajectory_csv": "t.csv",
+               "evolve.summary_json": "e.json", "sieve.summary_json": "s.json",
+               "sweep.landscape_csv": "l.csv", "wigner.grid_csv": "w.csv",
+               "wigner.sidecar_json": "m.json"}
+    argv = [command, "--config", str(example)]
+    for key, name in outputs.items():
+        argv += ["--set", f"{key}={tmp_path / name}"]
+    code, err = run_main(argv + ["--set", override])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("evolve", "t_final", 1e9),
+    ("evolve", "dt", 1e-9),
+    ("sieve", "n_aleph", _MAX_SIZE // 18 + 1),
+    ("sweep", "n_theta", _MAX_SIZE // 5 + 1),
+    ("wigner", "n_points", 1001),
+    ("wigner", "n_points", 10 ** 11),
+])
+def test_sizes_past_the_bound_are_rejected_at_load(tmp_path, section, key, value):
+    # The load-time check alone: nothing of this size is allocated or run.
+    config = grid_config(tmp_path)
+    config["wigner"] = {"n_points": 1000, "grid_csv": "w.csv"}
+    config["evolve"].update(t_final=1e3, dt=1e-3, sample_every=1)
+    _check_config(config)  # evolve and wigner sit at the bound, and pass
+    config[section][key] = value
+    with pytest.raises(ConfigError, match="past the bound"):
+        _check_config(config)

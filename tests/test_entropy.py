@@ -7,7 +7,7 @@ from lindosc import (CovDecomposition, LindbladCouplings, ModelParams,
                      area, area_rate, build_drift, build_scaled_diffusion,
                      compose, entropy_rate, initial_rate, linear_entropy)
 from lindosc.entropy import report
-from lindosc.errors import NonPositiveDeterminant, UnphysicalState
+from lindosc.errors import NotSPD, UnphysicalState
 
 HBAR = 1.0
 
@@ -27,7 +27,7 @@ class TestArea:
         assert area(np.diag([2.0 * HBAR, HBAR / 8.0]), HBAR) == pytest.approx(1.0)
 
     def test_nonpositive_determinant(self):
-        with pytest.raises(NonPositiveDeterminant):
+        with pytest.raises(NotSPD):
             area(np.diag([1.0, 0.0]), HBAR)
 
 

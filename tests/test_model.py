@@ -60,6 +60,12 @@ class TestValidate:
         assert not rep.passed
         assert rep.slack == pytest.approx(-0.24)
 
+    @pytest.mark.parametrize("kw", [{"D_pq": 1e200}, {"lam": 1e200},
+                                    {"lam": 1.0, "hbar": 1e200}])
+    def test_squares_past_the_float_range_fail(self, kw):
+        rep = validate(params(**kw))
+        assert not rep.passed and rep.slack == -np.inf
+
     def test_negative_friction_is_warning_not_failure(self):
         rep = validate(params(D_qq=2.0, D_pp=2.0, lam=-1.0))
         assert rep.passed and rep.anti_damped and not rep.hurwitz

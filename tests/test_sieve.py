@@ -6,7 +6,7 @@ import pytest
 from lindosc import (CovDecomposition, DiffDecomposition, analytic_minimizer,
                      compose, compose_diffusion, grid_search, initial_rate,
                      rate_at, rate_landscape, run_sieve)
-from lindosc.errors import BracketError
+from lindosc.errors import ConfigError
 
 HBAR = 1.0
 
@@ -107,7 +107,7 @@ class TestGridSearch:
         assert abs(rate - min_rate) <= 1e-12 * scale
 
     def test_bracket_error(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(ConfigError):
             grid_search(1.0, 0.2, diff(d=3.0), 51, 51, (0.5, 2.0))
 
 
