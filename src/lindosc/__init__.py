@@ -6,12 +6,11 @@ __version__ = "0.1.0"
 
 from .decomposition import (CovDecomposition, DiffDecomposition, compose,
                             compose_diffusion, decompose, decompose_diffusion)
-from .dynamics import (GaussianState, evolve, heisenberg_slack, rhs_mean,
-                       rhs_sigma, stationary_covariance, step_rk4)
-from .entropy import area, area_rate, entropy_rate, initial_rate, linear_entropy
+from .dynamics import (GaussianState, evolve, heisenberg_slack, rhs_sigma,
+                       stationary_covariance)
+from .entropy import area, initial_rate, linear_entropy
 from .model import (LindbladCouplings, ModelParams, build_drift,
-                    build_scaled_diffusion, derive_coefficients,
-                    model_from_dict, validate)
+                    build_scaled_diffusion, model_from_dict, validate)
 from .sieve import (analytic_minimizer, grid_search, rate_at, rate_landscape,
                     run_sieve)
 from .wigner import (QuadratureSpec, fp_residual, wigner_eval, wigner_grid,
@@ -21,11 +20,11 @@ __all__ = [
     "__version__",
     "CovDecomposition", "DiffDecomposition", "compose", "compose_diffusion",
     "decompose", "decompose_diffusion",
-    "GaussianState", "evolve", "heisenberg_slack", "rhs_mean", "rhs_sigma",
-    "stationary_covariance", "step_rk4",
-    "area", "area_rate", "entropy_rate", "initial_rate", "linear_entropy",
+    "GaussianState", "evolve", "heisenberg_slack", "rhs_sigma",
+    "stationary_covariance",
+    "area", "initial_rate", "linear_entropy",
     "LindbladCouplings", "ModelParams", "build_drift", "build_scaled_diffusion",
-    "derive_coefficients", "model_from_dict", "validate",
+    "model_from_dict", "validate",
     "analytic_minimizer", "grid_search", "rate_at", "rate_landscape",
     "run_sieve",
     "QuadratureSpec", "fp_residual", "wigner_eval", "wigner_grid",

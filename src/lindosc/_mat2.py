@@ -78,3 +78,11 @@ def spectrum(m):
     tr = m[0, 0] + m[1, 1]
     gap = math.hypot(m[0, 0] - m[1, 1], 2.0 * m[0, 1])
     return tr, 0.5 * (tr - gap), 0.5 * (tr + gap)
+
+
+def hurwitz(m):
+    """Whether both eigenvalues of the real ``m`` have negative real part:
+    trace < 0 < det, taken on :func:`normalize`'s ``m / s`` so that the
+    determinant cannot overflow."""
+    unit, _ = normalize(m)
+    return bool(unit[0, 0] + unit[1, 1] < 0 < det(unit))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mat2
-from .errors import NotSPD, SingularDiffusion
+from .errors import ConfigError, NotSPD
 
 #: Below this excess of aleph**2 over 1 the rotation angle is meaningless.
 _ISOTROPY_TOL = 1e-12
@@ -70,6 +70,8 @@ def _decompose(m, s, det, hbar):
 
 
 def _compose(scale, ratio, angle, hbar):
+    if not ratio > 0:
+        raise ConfigError(f"squeezing or anisotropy {ratio} is not positive")
     c, s = math.cos(angle), math.sin(angle)
     o = np.array([[c, -s], [s, c]])
     core = np.diag([ratio ** 2, ratio ** -2])
@@ -98,9 +100,8 @@ def decompose_diffusion(d_matrix, hbar):
     _check_symmetric(d_matrix)
     det = _mat2.det(d_matrix)
     if det <= 0:
-        raise SingularDiffusion(
-            "diffusion matrix has non-positive determinant; "
-            "anisotropy is undefined")
+        raise NotSPD("diffusion matrix has non-positive determinant; "
+                     "anisotropy is undefined")
     return DiffDecomposition(*_decompose(d_matrix, 1.0, det, hbar))
 
 

@@ -71,11 +71,6 @@ def rhs_sigma(sigma, drift, diffusion):
     return drift @ sigma + sigma @ drift.T + 2.0 * diffusion
 
 
-def rhs_mean(mean, drift):
-    """Right-hand side of the first-moment ODE."""
-    return drift @ mean
-
-
 def heisenberg_slack(sigma, hbar):
     """det(sigma) - hbar**2 / 4; negative values flag unphysical states.
 
@@ -176,26 +171,6 @@ def _first_failure(block):
     return i, f"covariance lost positive definiteness (min eigenvalue {lam_min[i]})"
 
 
-def step_rk4(state, drift, diffusion, dt):
-    """One RK4 step of the joint (mean, covariance) system.
-
-    ``dt = 0`` returns the state unchanged.  Raises
-    :class:`~lindosc.errors.PositivityLost` if the stepped covariance loses
-    positive definiteness beyond tolerance (step too large or bad model).
-    """
-    if dt == 0:
-        return state
-    mt, q = _propagator(np.asarray(drift, dtype=float),
-                        np.asarray(diffusion, dtype=float), dt)
-    out = np.empty((1, 5))
-    _step(_pack(state), mt, q, out)
-    failure = _first_failure(out)
-    if failure:
-        raise PositivityLost(failure[1])
-    mean, sigma = _unpack(out)
-    return GaussianState(mean=mean[0], sigma=sigma[0])
-
-
 #: Steps held at once between positivity checks; memory stays flat for any
 #: step count.
 _BLOCK = 1024
@@ -210,13 +185,13 @@ def evolve(state, params, t_final, dt, sample_every=1):
     the first step whose covariance lost positive definiteness or whose state
     is no longer finite.
     """
-    if t_final < 0:
+    if not t_final >= 0:
         raise ValueError("t_final must be nonnegative")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     if sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
-    n_steps = 0 if t_final == 0 else int(round(t_final / dt))
-    if t_final > 0 and dt <= 0:
-        raise ValueError("dt must be positive")
+    n_steps = int(round(t_final / dt))
 
     drift = _model.build_drift(params)
     diffusion = _model.build_scaled_diffusion(params)
@@ -261,9 +236,8 @@ def stationary_covariance(drift, diffusion):
     """
     drift = np.asarray(drift, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)
-    eigs = np.linalg.eigvals(drift)
-    if not all(z.real < 0 for z in eigs):
-        raise NotStable(f"drift eigenvalues {eigs} are not all in the left half-plane")
+    if not _mat2.hurwitz(drift):
+        raise NotStable(f"drift {drift.tolist()} is not Hurwitz")
 
     b = -2.0 * np.array([diffusion[0, 0], diffusion[0, 1], diffusion[1, 1]])
     try:

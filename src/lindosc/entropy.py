@@ -79,26 +79,14 @@ def linear_entropy(sigma, hbar):
     return max(1.0 - 1.0 / a, 0.0)
 
 
-def area_rate(sigma, drift, diffusion, hbar):
-    """dA/dt = A * (tr(drift) + tr(diffusion @ sigma^-1))."""
-    return report(sigma, drift, diffusion, hbar).area_rate
-
-
-def entropy_rate(sigma, drift, diffusion, hbar):
-    """ds/dt = (dA/dt) / A**2."""
-    return report(sigma, drift, diffusion, hbar).entropy_rate
-
-
 def initial_rate(sigma0, diffusion, lam, hbar):
-    """Entropy-production rate from the state alone.
+    """Entropy-production rate from the state alone: :func:`report`'s
+    ``entropy_rate`` under the drift ``-lam * I``.
 
-    Equals :func:`entropy_rate` for every drift matrix with trace
-    ``-2 * lam``; the oscillatory and mixing parts of the drift are traceless
-    and drop out.
+    It is the rate for every drift matrix with trace ``-2 * lam``; the
+    oscillatory and mixing parts of the drift are traceless and drop out.
     """
-    unit, s, a, det = _area(np.asarray(sigma0, dtype=float), hbar)
-    inv = _inv2(unit, s, det)
-    return (-2.0 * lam + np.trace(inv @ diffusion)) / (s * a)
+    return report(sigma0, -lam * np.eye(2), diffusion, hbar).entropy_rate
 
 
 def report(sigma, drift, diffusion, hbar):

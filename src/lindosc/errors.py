@@ -12,13 +12,15 @@ class LindoscError(Exception):
 
 
 class ConfigError(LindoscError):
-    """Malformed configuration or model document, or a search range that
-    does not bracket the optimum."""
+    """Malformed configuration or model document, a search range that does
+    not bracket the optimum, or a quadrature box too narrow for the
+    Gaussian's mass."""
 
 
 class NotSPD(LindoscError):
     """Matrix expected to be symmetric positive definite is not: its
-    determinant is not positive, or it is numerically singular."""
+    determinant is not positive, or it is numerically singular.  A diffusion
+    matrix of this kind has no anisotropy."""
     exit_code = 2
 
 
@@ -27,19 +29,10 @@ class UnphysicalState(LindoscError):
     exit_code = 2
 
 
-class SingularDiffusion(LindoscError):
-    """Diffusion matrix has non-positive determinant; anisotropy is undefined."""
-    exit_code = 2
-
-
 class NotStable(LindoscError):
     """Drift matrix is not Hurwitz, or the stationary-covariance system is
     numerically singular; no stationary covariance is computed."""
     exit_code = 3
-
-
-class BoxTooSmall(LindoscError):
-    """Quadrature box does not cover enough of the Gaussian mass."""
 
 
 class PositivityLost(LindoscError):

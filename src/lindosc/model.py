@@ -8,11 +8,12 @@ matrix and the scaled diffusion matrix that drive the covariance dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import decomposition
+from . import _mat2, decomposition
 from .errors import ConfigError
 
 #: Absolute floor used in the positivity-constraint tolerance.
@@ -27,10 +28,6 @@ class LindbladCouplings:
     b1: complex
     a2: complex = 0j
     b2: complex = 0j
-
-    @property
-    def pairs(self):
-        return ((self.a1, self.b1), (self.a2, self.b2))
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,22 @@ class ModelParams:
 
     @classmethod
     def from_couplings(cls, couplings, m, omega, mu, hbar):
-        d_qq, d_pp, d_pq, lam = derive_coefficients(couplings, hbar)
+        """Parameters whose diffusion coefficients and friction constant
+        derive from the coupling amplitudes.
+
+        They always satisfy the positivity constraint
+        ``D_pp*D_qq - D_pq**2 >= lam**2 * hbar**2 / 4`` (Cauchy-Schwarz),
+        which is asserted.
+        """
+        pairs = ((couplings.a1, couplings.b1), (couplings.a2, couplings.b2))
+        d_qq = 0.5 * hbar * sum(abs(a) ** 2 for a, _ in pairs)
+        d_pp = 0.5 * hbar * sum(abs(b) ** 2 for _, b in pairs)
+        cross = sum(np.conj(a) * b for a, b in pairs)
+        d_pq = -0.5 * hbar * cross.real
+        lam = -cross.imag
+
+        slack = d_pp * d_qq - d_pq ** 2 - lam ** 2 * hbar ** 2 / 4
+        assert slack >= -1e-12 * max(1.0, d_pp * d_qq), slack
         return cls(m=m, omega=omega, mu=mu, hbar=hbar,
                    D_qq=d_qq, D_pp=d_pp, D_pq=d_pq, lam=lam)
 
@@ -80,39 +92,10 @@ class ValidationReport:
     tolerance: float
     anti_damped: bool
     hurwitz: bool
-    drift_eigenvalues: tuple
+    drift_eigenvalues: list  # [[re, im], ...]
 
     def as_dict(self):
-        return {
-            "passed": self.passed,
-            "d_qq_nonnegative": self.d_qq_nonnegative,
-            "d_pp_nonnegative": self.d_pp_nonnegative,
-            "positivity_ok": self.positivity_ok,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
-            "anti_damped": self.anti_damped,
-            "hurwitz": self.hurwitz,
-            "drift_eigenvalues": [[z.real, z.imag] for z in self.drift_eigenvalues],
-        }
-
-
-def derive_coefficients(couplings, hbar):
-    """Diffusion coefficients and friction constant from coupling amplitudes.
-
-    Returns ``(D_qq, D_pp, D_pq, lam)``.  The output always satisfies the
-    positivity constraint ``D_pp*D_qq - D_pq**2 >= lam**2 * hbar**2 / 4``
-    (Cauchy-Schwarz), which is asserted.
-    """
-    pairs = couplings.pairs
-    d_qq = 0.5 * hbar * sum(abs(a) ** 2 for a, _ in pairs)
-    d_pp = 0.5 * hbar * sum(abs(b) ** 2 for _, b in pairs)
-    cross = sum(np.conj(a) * b for a, b in pairs)
-    d_pq = -0.5 * hbar * cross.real
-    lam = -cross.imag
-
-    slack = d_pp * d_qq - d_pq ** 2 - lam ** 2 * hbar ** 2 / 4
-    assert slack >= -1e-12 * max(1.0, d_pp * d_qq), slack
-    return d_qq, d_pp, d_pq, lam
+        return asdict(self)
 
 
 def validate(params):
@@ -126,7 +109,7 @@ def validate(params):
     d_pp_ok = params.D_pp >= 0
     positivity_ok = slack >= -tol
 
-    eigs = tuple(np.linalg.eigvals(build_drift(params)))
+    drift = build_drift(params)
     return ValidationReport(
         passed=bool(d_qq_ok and d_pp_ok and positivity_ok),
         d_qq_nonnegative=bool(d_qq_ok),
@@ -135,8 +118,8 @@ def validate(params):
         slack=float(slack),
         tolerance=float(tol),
         anti_damped=bool(params.lam < 0),
-        hurwitz=bool(all(z.real < 0 for z in eigs)),
-        drift_eigenvalues=eigs,
+        hurwitz=_mat2.hurwitz(drift),
+        drift_eigenvalues=[[z.real, z.imag] for z in np.linalg.eigvals(drift)],
     )
 
 
@@ -154,6 +137,14 @@ def build_scaled_diffusion(params):
                      [params.D_pq, params.D_pp / mw]])
 
 
+def _number(doc, key):
+    """``doc[key]`` as a float; a bool or a string is not a number."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"model {key} must be a number, got {value!r}")
+    return float(value)
+
+
 def model_from_dict(doc):
     """Build :class:`ModelParams` from a JSON model document.
 
@@ -163,28 +154,20 @@ def model_from_dict(doc):
     diffusion matrix).
     """
     try:
-        m = float(doc["m"])
-        omega = float(doc["omega"])
-        mu = float(doc["mu"])
-        hbar = float(doc["hbar"])
-        lam = float(doc["lambda"])
+        m, omega, mu, hbar, lam = (_number(doc, key)
+                                   for key in ("m", "omega", "mu", "hbar", "lambda"))
         diffusion = doc["diffusion"]
-    except (KeyError, TypeError, ValueError) as exc:
+        keys = set(diffusion)
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed model document: {exc!r}") from exc
 
-    raw_keys = {"D_qq", "D_pp", "D_pq"}
-    dec_keys = {"Delta", "d", "phi"}
-    keys = set(diffusion)
-    if keys == raw_keys:
-        d_qq = float(diffusion["D_qq"])
-        d_pp = float(diffusion["D_pp"])
-        d_pq = float(diffusion["D_pq"])
-    elif keys == dec_keys:
+    raw_keys = ("D_qq", "D_pp", "D_pq")
+    dec_keys = ("Delta", "d", "phi")
+    if keys == set(raw_keys):
+        d_qq, d_pp, d_pq = (_number(diffusion, key) for key in raw_keys)
+    elif keys == set(dec_keys):
         dec = decomposition.DiffDecomposition(
-            Delta=float(diffusion["Delta"]),
-            d=float(diffusion["d"]),
-            phi=float(diffusion["phi"]),
-        )
+            *(_number(diffusion, key) for key in dec_keys))
         scaled = decomposition.compose_diffusion(dec, hbar)
         mw = m * omega
         d_qq = scaled[0, 0] / mw

@@ -18,7 +18,7 @@ minimum rate to rounding without using (d, phi) as a starting point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -168,25 +168,18 @@ def _polish(aleph, theta, diff):
     return aleph, theta
 
 
-def grid_search(area, lam, diff, n_aleph, n_theta, aleph_range,
-                aleph_grid=None, theta_grid=None):
+def grid_search(area, lam, diff, n_aleph, n_theta, aleph_range):
     """Rate minimization: an exhaustive search over a log-spaced aleph grid
     times a uniform theta grid on [0, pi), then a polish of the best cell.
 
-    Explicit ``aleph_grid`` and ``theta_grid`` arrays, given together,
-    replace the generated grids.  The best cell minimizes the bracket B, to
-    which the rate is affine with a positive coefficient; ties resolve to
-    the lowest flat index (aleph outer, theta inner).  Safeguarded Newton
-    steps on B then refine the cell to rounding level, independently of the
-    analytic minimizer and of the area.  Returns ``(aleph, theta, rate)`` at
-    the polished point, with ``aleph >= 1`` and ``theta`` in [0, pi).
+    The best cell minimizes the bracket B, to which the rate is affine with
+    a positive coefficient; ties resolve to the lowest flat index (aleph
+    outer, theta inner).  Safeguarded Newton steps on B then refine the cell
+    to rounding level, independently of the analytic minimizer and of the
+    area.  Returns ``(aleph, theta, rate)`` at the polished point, with
+    ``aleph >= 1`` and ``theta`` in [0, pi).
     """
-    if aleph_grid is None or theta_grid is None:
-        alephs, thetas = _default_grids(diff, n_aleph, n_theta, aleph_range)
-    else:
-        alephs = np.asarray(aleph_grid, dtype=float)
-        thetas = np.asarray(theta_grid, dtype=float)
-
+    alephs, thetas = _default_grids(diff, n_aleph, n_theta, aleph_range)
     brackets = _bracket(alephs[:, None], thetas[None, :], diff)
     i, j = divmod(int(np.argmin(brackets)), brackets.shape[1])
     aleph, theta = _polish(float(alephs[i]), float(thetas[j]), diff)
@@ -215,14 +208,7 @@ def run_sieve(area, lam, diff, n_aleph=401, n_theta=361, aleph_range=(0.5, 8.0))
     analytic = analytic_minimizer(area, lam, diff)
     g_aleph, g_theta, g_rate = grid_search(area, lam, diff,
                                            n_aleph, n_theta, aleph_range)
-    return SieveResult(
-        aleph_star=analytic.aleph_star,
-        theta_star=analytic.theta_star,
-        min_rate=analytic.min_rate,
-        degenerate_angle=analytic.degenerate_angle,
-        grid_aleph=g_aleph,
-        grid_theta=g_theta,
-        grid_rate=g_rate,
+    return replace(
+        analytic, grid_aleph=g_aleph, grid_theta=g_theta, grid_rate=g_rate,
         grid_spec={"n_aleph": n_aleph, "n_theta": n_theta,
-                   "aleph_min": aleph_range[0], "aleph_max": aleph_range[1]},
-    )
+                   "aleph_min": aleph_range[0], "aleph_max": aleph_range[1]})

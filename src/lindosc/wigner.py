@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mat2
-from .errors import BoxTooSmall
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def _trapezoid_weights(x):
 def wigner_normalization(state, spec):
     """Integral of the density over the quadrature box; ~1 for a wide box."""
     if spec.n_sigma < 6.0:
-        raise BoxTooSmall(
+        raise ConfigError(
             f"box of {spec.n_sigma} standard deviations is too small; need >= 6")
     x1, x2, f = wigner_grid(state, spec)
     return float(_trapezoid_weights(x1) @ f @ _trapezoid_weights(x2))

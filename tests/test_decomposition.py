@@ -9,7 +9,7 @@ from lindosc import decomposition
 from lindosc import (CovDecomposition, DiffDecomposition, LindbladCouplings,
                      ModelParams, build_scaled_diffusion, compose,
                      compose_diffusion, decompose, decompose_diffusion)
-from lindosc.errors import NotSPD, SingularDiffusion
+from lindosc.errors import ConfigError, NotSPD
 
 HBAR = 1.0
 
@@ -114,8 +114,13 @@ class TestDiffusionDecomposition:
         assert (dec.Delta, dec.d, dec.phi) == pytest.approx((1.0, 3.0, 0.0))
 
     def test_zero_is_singular(self):
-        with pytest.raises(SingularDiffusion):
+        with pytest.raises(NotSPD):
             decompose_diffusion(np.zeros((2, 2)), HBAR)
+        # The other way round, a zero ratio has no inverse square.
+        with pytest.raises(ConfigError):
+            compose(CovDecomposition(1.0, 0.0, 0.0), HBAR)
+        with pytest.raises(ConfigError):
+            compose_diffusion(DiffDecomposition(1.0, 0.0, 0.0), HBAR)
 
     def test_round_trip(self):
         src = DiffDecomposition(Delta=0.8, d=2.5, phi=2.2)
@@ -140,7 +145,7 @@ def test_diffusion_intensity_dominates_friction(re_a, im_a, re_b, im_b,
     scaled = build_scaled_diffusion(p)
     try:
         dec = decompose_diffusion(scaled, p.hbar)
-    except SingularDiffusion:
+    except NotSPD:
         return
     assert dec.Delta >= abs(p.lam) - 1e-9 * max(1.0, abs(p.lam))
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lindosc import (CovDecomposition, GaussianState, ModelParams, build_drift,
-                     compose, entropy, evolve, heisenberg_slack, rhs_mean,
-                     rhs_sigma, stationary_covariance, step_rk4)
+                     compose, entropy, evolve, heisenberg_slack, rhs_sigma,
+                     stationary_covariance)
 from lindosc.errors import NotStable, PositivityLost
 
 HBAR = 1.0
@@ -41,31 +41,16 @@ class TestRightHandSides:
         d = np.array([[0.2, 0.1], [0.1, 0.5]])
         np.testing.assert_allclose(rhs_sigma(sigma, np.zeros((2, 2)), d), 2 * d)
 
-    def test_mean_rotation(self):
-        np.testing.assert_allclose(rhs_mean(np.array([1.0, 0.0]), ROTATION),
-                                   [0.0, -1.0])
-
-    def test_mean_uniform_damping(self):
-        np.testing.assert_allclose(rhs_mean(np.array([1.0, 1.0]), -np.eye(2)),
-                                   [-1.0, -1.0])
-
-    def test_mean_generic(self):
-        y = np.array([[-1.0, 2.0], [-2.0, -1.0]])
-        np.testing.assert_allclose(rhs_mean(np.array([2.0, 0.0]), y), [-2.0, -4.0])
-
 
 class TestStepRK4:
-    def test_zero_dt_is_identity(self):
-        state = GaussianState(mean=[0.3, -0.2], sigma=iso(1.5))
-        assert step_rk4(state, ROTATION, np.zeros((2, 2)), 0.0) is state
-
     def test_rotation_preserves_determinant_to_fifth_order(self):
+        # params() has the drift ROTATION and no diffusion; one step of dt.
         state = GaussianState(mean=[1.0, 0.0],
                               sigma=np.array([[0.9, 0.2], [0.2, 0.6]]))
         det0 = np.linalg.det(state.sigma)
         for dt in (0.1, 0.05):
-            out = step_rk4(state, ROTATION, np.zeros((2, 2)), dt)
-            assert abs(np.linalg.det(out.sigma) - det0) < 2.0 * dt ** 5
+            out = evolve(state, params(), dt, dt).sigma[-1]
+            assert abs(np.linalg.det(out) - det0) < 2.0 * dt ** 5
 
     def test_matches_closed_form_isotropic_relaxation(self):
         # For mu=0 with isotropic diffusion an isotropic covariance stays
@@ -76,13 +61,6 @@ class TestStepRK4:
         traj = evolve(state, p, 1.0, 1e-3, sample_every=1000)
         a_exact = delta / lam + (1.0 - delta / lam) * math.exp(-2.0 * lam)
         assert traj.area[-1] == pytest.approx(a_exact, abs=1e-8)
-
-    def test_blowup_raises_positivity_lost(self):
-        state = GaussianState(mean=[0.0, 0.0],
-                              sigma=np.array([[0.5, 0.49], [0.49, 0.5]]))
-        drift = np.array([[-1.87, 0.12], [-6.98, -0.66]])
-        with pytest.raises(PositivityLost):
-            step_rk4(state, drift, np.zeros((2, 2)), 1.5)
 
 
 class TestEvolve:
@@ -116,6 +94,14 @@ class TestEvolve:
         traj = evolve(GaussianState(mean=[1, 1], sigma=iso(2.0)),
                       p, 3.0, 1e-3, sample_every=10)
         assert np.max(np.abs(traj.sigma[:, 0, 1] - traj.sigma[:, 1, 0])) < 1e-12
+
+    @pytest.mark.parametrize("t_final, dt, sample_every",
+                             [(1.0, 0.0, 1), (1.0, -1e-3, 1),
+                              (-1.0, 1e-3, 1), (1.0, 1e-3, 0)])
+    def test_bad_arguments_raise_value_error(self, t_final, dt, sample_every):
+        state = GaussianState(mean=[0.0, 0.0], sigma=iso(1.0))
+        with pytest.raises(ValueError):
+            evolve(state, params(), t_final, dt, sample_every)
 
     def test_failure_reports_time(self):
         p = params(lam=-3.0, D_qq=0.0, D_pp=0.0)  # anti-damped, no diffusion
@@ -180,8 +166,12 @@ class TestStationaryCovariance:
                                    iso(delta / lam), rtol=1e-12, atol=1e-14)
 
     def test_marginal_drift_not_stable(self):
-        with pytest.raises(NotStable):
-            stationary_covariance(ROTATION, iso(1.0))
+        # Eigenvalues +-i (trace 0 < det), -1 and 0 (trace < 0 = det), and
+        # +-i again on a drift that is not normal.
+        for drift in (ROTATION, np.diag([-1.0, 0.0]),
+                      np.array([[1.0, 2.0], [-1.0, -1.0]])):
+            with pytest.raises(NotStable):
+                stationary_covariance(drift, iso(1.0))
 
     def test_random_hurwitz_residual(self):
         rng = np.random.default_rng(17)
@@ -278,25 +268,18 @@ class TestAgainstReferenceRK4:
                                  round(50.0 / dt), dt, 1)
         assert err.value.time == t_ref
 
-    def test_single_step_blowup_agrees(self):
-        state = GaussianState(mean=[0.0, 0.0],
-                              sigma=np.array([[0.5, 0.49], [0.49, 0.5]]))
-        drift = np.array([[-1.87, 0.12], [-6.98, -0.66]])
-        _, sigma = reference_step(state.mean, state.sigma, drift,
-                                  np.zeros((2, 2)), 1.5)
-        assert reference_lost(sigma)
-        with pytest.raises(PositivityLost):
-            step_rk4(state, drift, np.zeros((2, 2)), 1.5)
-
     def test_step_rk4_matches(self):
-        drift = np.array([[-0.3, 1.2], [-1.2, -0.5]])
-        diffusion = np.array([[0.5, 0.1], [0.1, 0.8]])
+        # One step of dt; m * omega = 1, so the scaled diffusion is
+        # [[0.5, 0.1], [0.1, 0.8]] up to rounding.
+        p = params(lam=0.4, mu=-0.1, omega=1.2, m=1 / 1.2,
+                   D_qq=0.5, D_pp=0.8, D_pq=0.1)
         state = GaussianState(mean=[0.4, -0.1],
                               sigma=np.array([[1.4, 0.2], [0.2, 0.9]]))
-        out = step_rk4(state, drift, diffusion, 0.05)
-        mean, sigma = reference_step(state.mean, state.sigma, drift, diffusion, 0.05)
-        np.testing.assert_allclose(out.mean, mean, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(out.sigma, sigma, rtol=0, atol=1e-15)
+        traj = evolve(state, p, 0.05, 0.05)
+        mean, sigma = reference_step(state.mean, state.sigma, traj.drift,
+                                     traj.diffusion, 0.05)
+        np.testing.assert_allclose(traj.mean[-1], mean, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(traj.sigma[-1], sigma, rtol=0, atol=1e-15)
 
 
 def test_stacked_diagnostics_equal_report_per_sample():

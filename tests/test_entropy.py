@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindosc import (CovDecomposition, LindbladCouplings, ModelParams,
-                     area, area_rate, build_drift, build_scaled_diffusion,
-                     compose, entropy_rate, initial_rate, linear_entropy)
+                     area, build_drift, build_scaled_diffusion, compose,
+                     initial_rate, linear_entropy)
 from lindosc.entropy import report
 from lindosc.errors import NotSPD, UnphysicalState
 
@@ -54,26 +54,26 @@ class TestRates:
     def test_pure_isotropic_rate(self):
         delta, lam = 1.3, 0.4
         d = iso(delta)
-        assert area_rate(iso(1.0), iso_drift(lam), d, HBAR) == pytest.approx(
-            2.0 * (delta - lam))
-        assert entropy_rate(iso(1.0), iso_drift(lam), d, HBAR) == pytest.approx(
-            2.0 * (delta - lam))
+        rep = report(iso(1.0), iso_drift(lam), d, HBAR)
+        assert rep.area_rate == pytest.approx(2.0 * (delta - lam))
+        assert rep.entropy_rate == pytest.approx(2.0 * (delta - lam))
 
     def test_unitary_case_is_zero(self):
-        assert area_rate(iso(1.7), iso_drift(0.0), np.zeros((2, 2)), HBAR) == 0.0
+        assert report(iso(1.7), iso_drift(0.0), np.zeros((2, 2)),
+                      HBAR).area_rate == 0.0
 
     def test_pure_contraction(self):
         lam, a = 0.8, 2.5
-        assert area_rate(iso(a), iso_drift(lam), np.zeros((2, 2)), HBAR) == \
-            pytest.approx(-2.0 * lam * a)
+        assert report(iso(a), iso_drift(lam), np.zeros((2, 2)),
+                      HBAR).area_rate == pytest.approx(-2.0 * lam * a)
 
     def test_entropy_rate_is_area_rate_over_area_squared(self):
         sigma = np.array([[1.4, 0.2], [0.2, 0.9]])
         d = np.array([[0.5, 0.1], [0.1, 0.8]])
         y = np.array([[-0.3, 1.2], [-1.2, -0.5]])
         a = area(sigma, HBAR)
-        assert entropy_rate(sigma, y, d, HBAR) == pytest.approx(
-            area_rate(sigma, y, d, HBAR) / a ** 2, rel=1e-14)
+        rep = report(sigma, y, d, HBAR)
+        assert rep.entropy_rate == pytest.approx(rep.area_rate / a ** 2, rel=1e-14)
 
 
 class TestInitialRate:
@@ -106,7 +106,7 @@ def test_initial_rate_equals_entropy_rate_for_any_traceless_extension():
                                          theta=rng.uniform(0, np.pi)), p.hbar)
         drift = build_drift(p)
         diffusion = build_scaled_diffusion(p)
-        r1 = entropy_rate(sigma, drift, diffusion, p.hbar)
+        r1 = report(sigma, drift, diffusion, p.hbar).entropy_rate
         r2 = initial_rate(sigma, diffusion, p.lam, p.hbar)
         assert r2 == pytest.approx(r1, rel=1e-12, abs=1e-13)
 

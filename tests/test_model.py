@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindosc import (LindbladCouplings, ModelParams, build_drift,
-                     build_scaled_diffusion, derive_coefficients,
-                     model_from_dict, validate)
+                     build_scaled_diffusion, model_from_dict, validate)
 from lindosc.errors import ConfigError
 
 
@@ -14,6 +13,12 @@ def params(**kw):
                 D_qq=0.5, D_pp=0.5, D_pq=0.0, lam=0.0)
     base.update(kw)
     return ModelParams(**base)
+
+
+def derive_coefficients(couplings, hbar):
+    """(D_qq, D_pp, D_pq, lam) of ModelParams.from_couplings."""
+    p = ModelParams.from_couplings(couplings, m=1.0, omega=1.0, mu=0.0, hbar=hbar)
+    return p.D_qq, p.D_pp, p.D_pq, p.lam
 
 
 class TestDeriveCoefficients:
@@ -149,6 +154,14 @@ class TestModelDocument:
     def test_mixed_forms_rejected(self):
         with pytest.raises(ConfigError):
             model_from_dict(self.doc({"D_qq": 0.5, "Delta": 1.0}))
+
+    @pytest.mark.parametrize("diffusion, hbar", [
+        ({"D_qq": True, "D_pp": 0.5, "D_pq": 0.0}, 1.0),  # a bool
+        ({"D_qq": 0.5, "D_pp": 0.5, "D_pq": 0.0}, "1.0"),  # a numeric string
+        ({"Delta": 1.0, "d": 0.0, "phi": 0.0}, 1.0)])  # d ** -2 divides by 0
+    def test_non_number_or_zero_anisotropy_rejected(self, diffusion, hbar):
+        with pytest.raises(ConfigError):
+            model_from_dict({**self.doc(diffusion), "hbar": hbar})
 
     def test_missing_field_rejected(self):
         doc = self.doc({"D_qq": 0.5, "D_pp": 0.5, "D_pq": 0.0})

@@ -6,6 +6,7 @@ import pytest
 from lindosc import (CovDecomposition, DiffDecomposition, analytic_minimizer,
                      compose, compose_diffusion, grid_search, initial_rate,
                      rate_at, rate_landscape, run_sieve)
+from lindosc import sieve
 from lindosc.errors import ConfigError
 
 HBAR = 1.0
@@ -87,12 +88,11 @@ class TestGridSearch:
 
     def test_degenerate_single_point_grid(self):
         dd = diff(delta=0.9, d=1.7, phi=0.6)
-        aleph, theta, rate = grid_search(
-            1.0, 0.2, dd, 1, 1, (1.7, 1.7),
-            aleph_grid=[dd.d], theta_grid=[dd.phi])
+        # A grid whose one cell is the optimum: the polish stays put.
+        aleph, theta = sieve._polish(dd.d, dd.phi, dd)
         assert (aleph, theta) == (1.7, 0.6)
-        assert rate == pytest.approx(analytic_minimizer(1.0, 0.2, dd).min_rate,
-                                     rel=1e-14)
+        assert rate_at(aleph, theta, 1.0, 0.2, dd) == pytest.approx(
+            analytic_minimizer(1.0, 0.2, dd).min_rate, rel=1e-14)
 
     def test_near_isotropic_polish_leaves_the_unit_aleph_node(self):
         # B is flat in theta on the aleph = 1 line and the Hessian there is

@@ -9,7 +9,7 @@ from lindosc import (CovDecomposition, GaussianState, ModelParams,
                      QuadratureSpec, compose, evolve, fp_residual,
                      stationary_covariance, wigner_eval, wigner_grid,
                      wigner_normalization)
-from lindosc.errors import BoxTooSmall, NotSPD
+from lindosc.errors import ConfigError, NotSPD
 
 HBAR = 1.0
 
@@ -61,7 +61,7 @@ class TestNormalization:
         assert n == pytest.approx(1.0, abs=1e-8)
 
     def test_small_box_rejected(self):
-        with pytest.raises(BoxTooSmall):
+        with pytest.raises(ConfigError):
             wigner_normalization(coherent(), QuadratureSpec(2.0, 101))
 
 
