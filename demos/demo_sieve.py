@@ -40,9 +40,10 @@ def main():
         r = rate_at(aleph, theta, area, lam, diff)
         print(f"  {label:32s} rate = {r:8.4f}  ({r / best.min_rate:5.2f}x minimum)")
 
-    result = run_sieve(area, lam, diff)
+    n_aleph, n_theta, aleph_range = 401, 361, (0.5, 8.0)
+    result = run_sieve(area, lam, diff, n_aleph, n_theta, aleph_range)
     print(f"\nrun_sieve record: degenerate_angle={result.degenerate_angle}, "
-          f"grid spec {result.grid_spec}")
+          f"grid {n_aleph} x {n_theta} over aleph in {aleph_range}")
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from . import (__version__, _mat2, decomposition, dynamics, entropy, model,
-               serialize, sieve, wigner)
+from . import (__version__, decomposition, dynamics, entropy, model, serialize,
+               sieve, wigner)
 from .errors import ConfigError, LindoscError, PositivityLost, UnphysicalState
 
 
@@ -201,11 +201,10 @@ def _state_from_config(cfg, hbar):
         s = spec["sigma"]
         sigma = np.array([[s["S11"], s["S12"]], [s["S12"], s["S22"]]])
     else:
-        # Past the float range this gives inf or nan, which check_spd rejects.
+        # Past the float range this gives inf or nan, which area rejects.
         with np.errstate(over="ignore", invalid="ignore"):
             sigma = decomposition.compose(decomposition.CovDecomposition(
                 spec["A"], spec["aleph"], spec["theta"]), hbar)
-    _mat2.check_spd(sigma, "state.sigma")
     if entropy.area(sigma, hbar) == math.inf:
         raise ConfigError(f"state.sigma {sigma.tolist()} has an area past the float range")
     entropy.linear_entropy(sigma, hbar)  # raises UnphysicalState below area 1
@@ -301,6 +300,7 @@ def _in_float_range():
 
 def cmd_sieve(cfg):
     args = _grid(cfg, "sieve")
+    area, _, _, n_aleph, n_theta, (aleph_min, aleph_max) = args
     with _in_float_range():
         result = sieve.run_sieve(*args)
     # Angles are equivalent modulo pi: 0 and pi - 1e-13 are 1e-13 apart.
@@ -310,13 +310,10 @@ def cmd_sieve(cfg):
         "theta_star": result.theta_star,
         "min_rate": result.min_rate,
         "degenerate_angle": result.degenerate_angle,
-        "area": args[0],
-        "grid": {
-            "aleph": result.grid_aleph,
-            "theta": result.grid_theta,
-            "rate": result.grid_rate,
-            **result.grid_spec,
-        },
+        "area": area,
+        "grid": {"aleph": result.grid_aleph, "theta": result.grid_theta,
+                 "rate": result.grid_rate, "n_aleph": n_aleph, "n_theta": n_theta,
+                 "aleph_min": aleph_min, "aleph_max": aleph_max},
         "delta_aleph": abs(result.grid_aleph - result.aleph_star),
         "delta_theta": min(theta_gap, math.pi - theta_gap),
         "delta_rate": abs(result.grid_rate - result.min_rate),

@@ -8,6 +8,10 @@ with ``A`` the phase-space area, ``aleph >= 1`` the squeezing parameter and
 ``O(theta)`` the rotation with the convention ``O = [[c, -s], [s, c]]``.
 The same congruence decomposes the scaled diffusion matrix into an intensity
 ``Delta``, an anisotropy ``d`` and an angle ``phi``.
+
+Both accept their matrix through :func:`_mat2.check_spd` and share one body,
+exact on the matrix divided by a power of two, so they stay finite where the
+determinant alone overflows.
 """
 
 from __future__ import annotations
@@ -18,12 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mat2
-from .errors import ConfigError, NotSPD
+from .errors import ConfigError
 
 #: Below this excess of aleph**2 over 1 the rotation angle is meaningless.
 _ISOTROPY_TOL = 1e-12
-
-_SYMMETRY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,12 +44,6 @@ class DiffDecomposition:
     Delta: float
     d: float
     phi: float
-
-
-def _check_symmetric(m):
-    scale = max(abs(m[0, 0]), abs(m[1, 1]), abs(m[0, 1]), abs(m[1, 0]), 1e-300)
-    if abs(m[0, 1] - m[1, 0]) > _SYMMETRY_RTOL * scale:
-        raise NotSPD(f"matrix {m.tolist()} is not symmetric")
 
 
 def _decompose(m, s, det, hbar):
@@ -72,21 +68,20 @@ def _decompose(m, s, det, hbar):
 def _compose(scale, ratio, angle, hbar):
     if not ratio > 0:
         raise ConfigError(f"squeezing or anisotropy {ratio} is not positive")
+    try:
+        core = np.diag([ratio ** 2, ratio ** -2])
+    except OverflowError:
+        raise ConfigError(f"squeezing or anisotropy {ratio} squares past the "
+                          "float range") from None
     c, s = math.cos(angle), math.sin(angle)
     o = np.array([[c, -s], [s, c]])
-    core = np.diag([ratio ** 2, ratio ** -2])
     return (hbar * scale / 2.0) * (o.T @ core @ o)
 
 
 def decompose(m, hbar):
-    """Decompose an SPD covariance matrix into (A, aleph, theta).
-
-    The determinant is taken on ``m`` scaled by a power of two
-    (:func:`_mat2.check_spd`), so A stays finite where det m overflows.
-    """
+    """Decompose an SPD covariance matrix into (A, aleph, theta)."""
     m = np.asarray(m, dtype=float)
-    _check_symmetric(m)
-    return CovDecomposition(*_decompose(*_mat2.check_spd(m), hbar))
+    return CovDecomposition(*_decompose(*_mat2.check_spd(m, "covariance"), hbar))
 
 
 def compose(dec, hbar):
@@ -95,14 +90,10 @@ def compose(dec, hbar):
 
 
 def decompose_diffusion(d_matrix, hbar):
-    """Decompose a scaled diffusion matrix into (Delta, d, phi)."""
+    """Decompose an SPD scaled diffusion matrix into (Delta, d, phi)."""
     d_matrix = np.asarray(d_matrix, dtype=float)
-    _check_symmetric(d_matrix)
-    det = _mat2.det(d_matrix)
-    if det <= 0:
-        raise NotSPD("diffusion matrix has non-positive determinant; "
-                     "anisotropy is undefined")
-    return DiffDecomposition(*_decompose(d_matrix, 1.0, det, hbar))
+    return DiffDecomposition(
+        *_decompose(*_mat2.check_spd(d_matrix, "diffusion matrix"), hbar))
 
 
 def compose_diffusion(dec, hbar):

@@ -77,7 +77,7 @@ def heisenberg_slack(sigma, hbar):
     The determinant is taken on sigma scaled by a power of two, so a
     covariance whose determinant exceeds the float range gives inf, not nan.
     """
-    unit, s = _mat2.normalize(np.asarray(sigma, dtype=float))
+    unit, s, _ = _mat2.normalize(np.asarray(sigma, dtype=float))
     with np.errstate(over="ignore"):
         return s * (s * _mat2.det(unit)) - hbar * hbar / 4.0
 
@@ -180,10 +180,11 @@ def evolve(state, params, t_final, dt, sample_every=1):
     """Integrate the model from ``state`` and record sampled diagnostics.
 
     Samples are taken at t = 0 and then every ``sample_every`` steps, so the
-    recorded times are uniformly spaced by ``sample_every * dt``.  Every step
-    is checked; :class:`~lindosc.errors.PositivityLost` reports the time of
-    the first step whose covariance lost positive definiteness or whose state
-    is no longer finite.
+    recorded times are uniformly spaced by ``sample_every * dt``.  The
+    initial covariance must pass :func:`_mat2.check_spd`; after that every
+    step is checked, and :class:`~lindosc.errors.PositivityLost` reports the
+    time of the first step whose covariance lost positive definiteness or
+    whose state is no longer finite.
     """
     if not t_final >= 0:
         raise ValueError("t_final must be nonnegative")
@@ -191,6 +192,7 @@ def evolve(state, params, t_final, dt, sample_every=1):
         raise ValueError("dt must be positive")
     if sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
+    _mat2.check_spd(np.asarray(state.sigma, dtype=float), "initial covariance")
     n_steps = int(round(t_final / dt))
 
     drift = _model.build_drift(params)

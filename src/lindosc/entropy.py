@@ -2,10 +2,12 @@
 
 :func:`report` takes one covariance matrix or a stack of shape ``(n, 2, 2)``
 and computes every diagnostic elementwise, so a trajectory's samples and a
-single state go through the same arithmetic and agree bit for bit.  Each
-covariance is first divided by a power of two near its largest entry, which
-is exact: the diagnostics are those of the plain formulas wherever those
-are in range, and stay finite where det sigma alone would overflow.
+single state go through the same arithmetic and agree bit for bit.  Every
+entry point accepts its covariances through :func:`_mat2.check_spd`, which
+rejects one that is not finite, symmetric and positive definite, and divides
+it by a power of two near its largest entry.  The division is exact: the
+diagnostics are those of the plain formulas wherever those are in range, and
+stay finite where det sigma alone would overflow.
 """
 
 from __future__ import annotations
@@ -33,19 +35,13 @@ class EntropyReport:
 
 def _area(sigma, hbar):
     """``(unit, s, A / s, det unit)`` for one covariance or a stack, where
-    ``(unit, s)`` is :func:`_mat2.normalize` of ``sigma``.
+    ``(unit, s, det unit)`` is :func:`_mat2.check_spd` of ``sigma``.
 
     A = 2 sqrt(det sigma) / hbar is formed in units of ``s`` because det sigma
     overflows for entries past about 1.3e154 while A does not; the scaling is
     exact, so in-range results are those of the unscaled formula.
     """
-    unit, s = _mat2.normalize(sigma)
-    det = _mat2.det(unit)
-    bad = det <= 0
-    if np.any(bad):
-        with np.errstate(over="ignore"):
-            value = np.ravel(s * (s * det))[np.argmax(bad)]
-        raise NotSPD(f"det sigma = {value} is not positive")
+    unit, s, det = _mat2.check_spd(sigma, "covariance")
     return unit, s, 2.0 * np.sqrt(det) / hbar, det
 
 
@@ -93,9 +89,9 @@ def report(sigma, drift, diffusion, hbar):
     """All four diagnostics of one covariance matrix or of a stack
     ``(n, 2, 2)``, in one pass.
 
-    Raises :class:`~lindosc.errors.NotSPD` for the first matrix that has a
-    non-positive or numerically vanishing determinant.  A diagnostic past the
-    float range comes out inf or nan, without a warning.
+    Raises :class:`~lindosc.errors.NotSPD` for the first matrix that is not
+    finite, symmetric and positive definite, or is numerically singular.  A
+    diagnostic past the float range comes out inf or nan, without a warning.
     """
     unit, s, a, det = _area(np.asarray(sigma, dtype=float), hbar)
     inv = _inv2(unit, s, det).T

@@ -18,9 +18,9 @@ class ConfigError(LindoscError):
 
 
 class NotSPD(LindoscError):
-    """Matrix expected to be symmetric positive definite is not: its
-    determinant is not positive, or it is numerically singular.  A diffusion
-    matrix of this kind has no anisotropy."""
+    """Covariance or diffusion matrix that is not finite, symmetric and
+    positive definite, or is numerically singular.  A diffusion matrix of
+    this kind has no anisotropy."""
     exit_code = 2
 
 

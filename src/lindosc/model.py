@@ -8,6 +8,7 @@ matrix and the scaled diffusion matrix that drive the covariance dynamics.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -36,8 +37,8 @@ class ModelParams:
 
     ``D_qq`` and ``D_pp`` are the position/momentum diffusion coefficients,
     ``D_pq`` the cross term and ``lam`` the friction constant.  Construction
-    only enforces the strictly structural requirements (positive mass,
-    frequency and action scale); the diffusion positivity constraint is
+    only enforces the strictly structural requirements (positive, finite
+    mass, frequency and action scale); the diffusion positivity constraint is
     checked by :func:`validate`, which reports rather than raises.
     """
 
@@ -51,12 +52,10 @@ class ModelParams:
     lam: float
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ConfigError(f"mass must be positive, got {self.m}")
-        if self.omega <= 0:
-            raise ConfigError(f"frequency must be positive, got {self.omega}")
-        if self.hbar <= 0:
-            raise ConfigError(f"action scale must be positive, got {self.hbar}")
+        for what, value in (("mass", self.m), ("frequency", self.omega),
+                            ("action scale", self.hbar)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{what} must be positive and finite, got {value}")
 
     @classmethod
     def from_couplings(cls, couplings, m, omega, mu, hbar):
@@ -142,7 +141,10 @@ def _number(doc, key):
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"model {key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"model {key} is past the float range") from None
 
 
 def model_from_dict(doc):

@@ -41,7 +41,6 @@ class SieveResult:
     grid_aleph: Optional[float] = None
     grid_theta: Optional[float] = None
     grid_rate: Optional[float] = None
-    grid_spec: Optional[dict] = None
 
 
 def _bracket(aleph, theta, diff):
@@ -208,7 +207,4 @@ def run_sieve(area, lam, diff, n_aleph=401, n_theta=361, aleph_range=(0.5, 8.0))
     analytic = analytic_minimizer(area, lam, diff)
     g_aleph, g_theta, g_rate = grid_search(area, lam, diff,
                                            n_aleph, n_theta, aleph_range)
-    return replace(
-        analytic, grid_aleph=g_aleph, grid_theta=g_theta, grid_rate=g_rate,
-        grid_spec={"n_aleph": n_aleph, "n_theta": n_theta,
-                   "aleph_min": aleph_range[0], "aleph_max": aleph_range[1]})
+    return replace(analytic, grid_aleph=g_aleph, grid_theta=g_theta, grid_rate=g_rate)

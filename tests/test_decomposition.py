@@ -121,6 +121,12 @@ class TestDiffusionDecomposition:
             compose(CovDecomposition(1.0, 0.0, 0.0), HBAR)
         with pytest.raises(ConfigError):
             compose_diffusion(DiffDecomposition(1.0, 0.0, 0.0), HBAR)
+        # Nor one whose square or inverse square is past the float range.
+        for ratio in (1e200, 1e-200):
+            with pytest.raises(ConfigError):
+                compose(CovDecomposition(1.0, ratio, 0.0), HBAR)
+        with pytest.raises(ConfigError):
+            compose_diffusion(DiffDecomposition(1.0, 1e200, 0.0), HBAR)
 
     def test_round_trip(self):
         src = DiffDecomposition(Delta=0.8, d=2.5, phi=2.2)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,12 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             params(**{field: 0.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["m", "omega", "hbar"])
+    def test_non_finite_constants_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            params(**{field: value})
+
     def test_from_couplings_matches_derive(self):
         c = LindbladCouplings(a1=1.0, b1=-1j)
         p = ModelParams.from_couplings(c, m=2.0, omega=0.5, mu=0.1, hbar=1.0)
@@ -162,6 +170,14 @@ class TestModelDocument:
     def test_non_number_or_zero_anisotropy_rejected(self, diffusion, hbar):
         with pytest.raises(ConfigError):
             model_from_dict({**self.doc(diffusion), "hbar": hbar})
+
+    @pytest.mark.parametrize("override", [
+        {"diffusion": {"Delta": 1.0, "d": 1e200, "phi": 0.0}},  # d ** 2 overflows
+        {"lambda": 10 ** 400}])  # no float holds it
+    def test_past_the_float_range_rejected(self, override):
+        doc = {**self.doc({"D_qq": 0.5, "D_pp": 0.5, "D_pq": 0.0}), **override}
+        with pytest.raises(ConfigError):
+            model_from_dict(doc)
 
     def test_missing_field_rejected(self):
         doc = self.doc({"D_qq": 0.5, "D_pp": 0.5, "D_pq": 0.0})

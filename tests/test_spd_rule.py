@@ -1,0 +1,91 @@
+"""One rule for an acceptable covariance or diffusion matrix: every entry
+point that takes a 2x2 matrix rejects the same bad matrices with NotSPD."""
+
+import math
+
+import numpy as np
+import pytest
+
+from lindosc import (DiffDecomposition, GaussianState, ModelParams,
+                     QuadratureSpec, area, decompose, decompose_diffusion,
+                     evolve, initial_rate, linear_entropy, wigner_eval,
+                     wigner_grid)
+from lindosc.entropy import report
+from lindosc.errors import NotSPD
+
+HBAR = 1.0
+GOOD = 0.5 * HBAR * np.eye(2)
+DRIFT = np.array([[-0.3, 1.0], [-1.0, -0.3]])
+PARAMS = ModelParams(m=1.0, omega=1.0, mu=0.0, hbar=HBAR,
+                     D_qq=0.4, D_pp=0.4, D_pq=0.0, lam=0.3)
+
+BAD = {
+    "minus_identity": -np.eye(2),
+    "indefinite": np.diag([1.0, -1.0]),
+    "zero": np.zeros((2, 2)),
+    "nan_entry": np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    "inf_entry": np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    "asymmetric": np.array([[1.0, 0.5], [-0.5, 1.0]]),
+}
+
+
+def state(sigma):
+    return GaussianState(mean=[0.0, 0.0], sigma=sigma)
+
+
+ENTRY_POINTS = {
+    "area": lambda m: area(m, HBAR),
+    "linear_entropy": lambda m: linear_entropy(m, HBAR),
+    "initial_rate": lambda m: initial_rate(m, GOOD, 0.3, HBAR),
+    "report": lambda m: report(m, DRIFT, GOOD, HBAR),
+    "report_stack": lambda m: report(np.array([GOOD, m, GOOD]), DRIFT, GOOD, HBAR),
+    "decompose": lambda m: decompose(m, HBAR),
+    "decompose_diffusion": lambda m: decompose_diffusion(m, HBAR),
+    "wigner_eval": lambda m: wigner_eval(state(m), (0.0, 0.0)),
+    "wigner_grid": lambda m: wigner_grid(state(m), QuadratureSpec(n_points=5)),
+    "evolve_t0": lambda m: evolve(state(m), PARAMS, 0.0, 0.1),
+    "evolve": lambda m: evolve(state(m), PARAMS, 1.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("matrix", BAD.values(), ids=BAD.keys())
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_every_entry_point_rejects_the_same_matrices(entry, matrix):
+    entry(GOOD)
+    with pytest.raises(NotSPD):
+        entry(matrix)
+
+
+def _decompose(m, hbar):
+    """The closed form of (Delta, d, phi) on the matrix itself, unscaled."""
+    det = m[0, 0] * m[1, 1] - m[1, 0] * m[0, 1]
+    sqrt_det = math.sqrt(det)
+    tr = m[0, 0] + m[1, 1]
+    lam_max = 0.5 * (tr + math.hypot(m[0, 0] - m[1, 1], 2.0 * m[0, 1]))
+    ratio2 = lam_max / sqrt_det
+    if ratio2 - 1.0 < 1e-12:
+        ratio2, angle = 1.0, 0.0
+    else:
+        angle = 0.5 * math.atan2(-2.0 * m[0, 1], m[0, 0] - m[1, 1]) % math.pi
+    return DiffDecomposition(2.0 * sqrt_det / hbar, math.sqrt(ratio2), angle)
+
+
+def test_decompose_diffusion_in_range_is_the_unscaled_formula():
+    # The power-of-two scaling is exact: on well-conditioned SPD matrices
+    # with entries from 1e-16 to 1e16 the result is the closed form's, bit
+    # for bit.
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        theta = rng.uniform(0.0, math.pi)
+        c, s = math.cos(theta), math.sin(theta)
+        o = np.array([[c, -s], [s, c]])
+        m = o.T @ np.diag(rng.uniform(0.1, 10.0, 2)) @ o
+        m = 0.5 * (m + m.T) * 10.0 ** rng.uniform(-16, 16)
+        assert decompose_diffusion(m, HBAR) == _decompose(m, HBAR)
+
+
+@pytest.mark.filterwarnings("error")
+def test_decompose_diffusion_past_the_determinant_range():
+    # det = 1e400 overflows; Delta = 2 sqrt(det) / hbar does not.
+    assert decompose_diffusion(1e200 * np.eye(2), HBAR) == \
+        DiffDecomposition(2e200, 1.0, 0.0)
