@@ -10,7 +10,7 @@ from .dynamics import (GaussianState, evolve, heisenberg_slack, rhs_sigma,
                        stationary_covariance)
 from .entropy import area, initial_rate, linear_entropy
 from .model import (LindbladCouplings, ModelParams, build_drift,
-                    build_scaled_diffusion, model_from_dict, validate)
+                    build_scaled_diffusion, validate)
 from .sieve import (analytic_minimizer, grid_search, rate_at, rate_landscape,
                     run_sieve)
 from .wigner import (QuadratureSpec, fp_residual, wigner_eval, wigner_grid,
@@ -24,7 +24,7 @@ __all__ = [
     "stationary_covariance",
     "area", "initial_rate", "linear_entropy",
     "LindbladCouplings", "ModelParams", "build_drift", "build_scaled_diffusion",
-    "model_from_dict", "validate",
+    "validate",
     "analytic_minimizer", "grid_search", "rate_at", "rate_landscape",
     "run_sieve",
     "QuadratureSpec", "fp_residual", "wigner_eval", "wigner_grid",

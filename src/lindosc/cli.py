@@ -77,12 +77,12 @@ _SCHEMA = {
     "model": ({
         **{k: (float, _SCALE, _REQUIRED) for k in ("m", "omega", "hbar")},
         "mu": (float, _FINITE, _REQUIRED), "lambda": (float, _FINITE, _REQUIRED),
-        # D_qq, D_pp, D_pq or Delta, d, phi: model.model_from_dict checks which.
+        # D_qq, D_pp, D_pq or Delta, d, phi: _check_config checks which.
         "diffusion": ({**{k: (float, _FINITE, None)
                           for k in ("D_qq", "D_pp", "D_pq", "Delta", "phi")},
                        "d": (float, _SCALE, None)}, None, _REQUIRED)}, None, _REQUIRED),
     "validate": ({"report_json": _PATH}, None, {}),
-    "state": ({  # physics checks the mean and sigma, with exit 2
+    "state": ({  # GaussianState checks the mean and sigma, with exit 2
         "mean": ("pair", _ANY, [0.0, 0.0]),
         "sigma": ({k: (float, _ANY, _REQUIRED) for k in ("S11", "S12", "S22")},
                   None, None),
@@ -141,6 +141,18 @@ def _check(where, kind, limits, value):
     return value
 
 
+def _one_form(where, table, *forms):
+    """The index of the one of ``forms`` (tuples of keys) whose keys are all
+    set in ``table``, with no key of another form set."""
+    given = {key for form in forms for key in form if table[key] is not None}
+    for i, form in enumerate(forms):
+        if given == set(form):
+            return i
+    raise ConfigError(f"{where} must carry exactly one of "
+                      + " or ".join(f"({', '.join(form)})" for form in forms)
+                      + f", got {sorted(given)}")
+
+
 def _bound(what, size):
     if not size <= _MAX_SIZE:
         raise ConfigError(f"{what} is {size}, past the bound of {_MAX_SIZE}")
@@ -150,19 +162,27 @@ def _check_config(config):
     """``config`` checked against ``_SCHEMA`` and the rules between its keys,
     with defaults filled in; raises :class:`ConfigError` at the first bad key."""
     cfg = _check("", _SCHEMA, None, config)
-    # model_from_dict checks the form of the diffusion; what passes the float
-    # range on the way comes out inf or nan, which the bound below rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        params = cfg["model"] = model.model_from_dict(config["model"])
+    doc = cfg["model"]
+    diff = doc["diffusion"]
+    if _one_form("model.diffusion", diff,
+                 ("D_qq", "D_pp", "D_pq"), ("Delta", "d", "phi")):
+        scaled = decomposition.compose_diffusion(decomposition.DiffDecomposition(
+            diff["Delta"], diff["d"], diff["phi"]), doc["hbar"])
+        mw = doc["m"] * doc["omega"]
+        # On Python floats a quotient past the float range is inf, with no
+        # warning, and ModelParams rejects it.
+        diff = {"D_qq": float(scaled[0, 0]) / mw, "D_pp": float(scaled[1, 1]) * mw,
+                "D_pq": float(scaled[0, 1])}
+    params = cfg["model"] = model.ModelParams(
+        m=doc["m"], omega=doc["omega"], mu=doc["mu"], hbar=doc["hbar"],
+        D_qq=diff["D_qq"], D_pp=diff["D_pp"], D_pq=diff["D_pq"], lam=doc["lambda"])
     for name, matrix in (("drift", model.build_drift(params)),
                          ("scaled diffusion", model.build_scaled_diffusion(params))):
         if not (abs(matrix) <= _LARGEST).all():
             raise ConfigError(f"model {name} {matrix.tolist()} is not within 2**510")
     state, ev, wig = cfg["state"], cfg["evolve"], cfg["wigner"]
-    if state and (sum(state[k] is not None for k in ("A", "aleph", "theta"))
-                  != 3 * (state["sigma"] is None)):
-        raise ConfigError(
-            "state must carry exactly one of 'sigma' or ('A', 'aleph', 'theta')")
+    if state:
+        _one_form("state", state, ("sigma",), ("A", "aleph", "theta"))
     _bound("evolve's step count t_final/dt", ev["t_final"] / ev["dt"])
     # The samples must reach t_final: a run of n steps ends on its last
     # sample only if n is a positive multiple of sample_every.
@@ -194,21 +214,18 @@ def _section(cfg, name):
 
 def _state_from_config(cfg, hbar):
     spec = _section(cfg, "state")
-    mean = np.array(spec["mean"])
-    if not np.isfinite(mean).all():
-        raise UnphysicalState(f"state.mean {mean.tolist()} is not finite")
     if spec["sigma"] is not None:
         s = spec["sigma"]
-        sigma = np.array([[s["S11"], s["S12"]], [s["S12"], s["S22"]]])
+        sigma = [[s["S11"], s["S12"]], [s["S12"], s["S22"]]]
     else:
-        # Past the float range this gives inf or nan, which area rejects.
-        with np.errstate(over="ignore", invalid="ignore"):
-            sigma = decomposition.compose(decomposition.CovDecomposition(
-                spec["A"], spec["aleph"], spec["theta"]), hbar)
-    if entropy.area(sigma, hbar) == math.inf:
-        raise ConfigError(f"state.sigma {sigma.tolist()} has an area past the float range")
-    entropy.linear_entropy(sigma, hbar)  # raises UnphysicalState below area 1
-    return dynamics.GaussianState(mean=mean, sigma=sigma)
+        sigma = decomposition.compose(decomposition.CovDecomposition(
+            spec["A"], spec["aleph"], spec["theta"]), hbar)
+    state = dynamics.GaussianState(mean=spec["mean"], sigma=sigma)
+    if entropy.area(state.sigma, hbar) == math.inf:
+        raise ConfigError(
+            f"state.sigma {state.sigma.tolist()} has an area past the float range")
+    entropy.linear_entropy(state.sigma, hbar)  # raises UnphysicalState below area 1
+    return state
 
 
 def _emit(obj, path=None):

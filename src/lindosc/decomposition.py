@@ -68,14 +68,17 @@ def _decompose(m, s, det, hbar):
 def _compose(scale, ratio, angle, hbar):
     if not ratio > 0:
         raise ConfigError(f"squeezing or anisotropy {ratio} is not positive")
-    try:
-        core = np.diag([ratio ** 2, ratio ** -2])
-    except OverflowError:
-        raise ConfigError(f"squeezing or anisotropy {ratio} squares past the "
-                          "float range") from None
     c, s = math.cos(angle), math.sin(angle)
     o = np.array([[c, -s], [s, c]])
-    return (hbar * scale / 2.0) * (o.T @ core @ o)
+    try:  # a Python float's ratio ** 2 raises past the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = (hbar * scale / 2.0) * (o.T @ np.diag([ratio ** 2, ratio ** -2]) @ o)
+    except OverflowError:
+        m = None
+    if m is None or not np.isfinite(m).all():
+        raise ConfigError(f"scale {scale}, squeezing or anisotropy {ratio} and "
+                          f"angle {angle} compose to a matrix that is not finite")
+    return m
 
 
 def decompose(m, hbar):

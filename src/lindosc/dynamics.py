@@ -26,7 +26,7 @@ import numpy as np
 from . import _mat2
 from . import entropy as _entropy
 from . import model as _model
-from .errors import NotStable, PositivityLost
+from .errors import NotStable, PositivityLost, UnphysicalState
 
 #: Relative (to trace) tolerance on the smallest covariance eigenvalue.
 _PD_TOL = 1e-10
@@ -34,14 +34,23 @@ _PD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GaussianState:
-    """First moments plus 2x2 covariance, both in scaled coordinates."""
+    """First moments plus 2x2 covariance, both in scaled coordinates.
+
+    Construction raises :class:`~lindosc.errors.UnphysicalState` unless the
+    mean is two finite numbers, and :class:`~lindosc.errors.NotSPD` unless
+    the covariance passes :func:`_mat2.check_spd`.
+    """
 
     mean: np.ndarray
     sigma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
+        mean = np.asarray(self.mean, dtype=float)
+        if mean.shape != (2,) or not np.isfinite(mean).all():
+            raise UnphysicalState(f"mean {mean.tolist()} is not two finite numbers")
+        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
+        _mat2.check_spd(self.sigma, "covariance")
 
 
 @dataclass(frozen=True)
@@ -122,8 +131,7 @@ def _propagator(drift, diffusion, dt):
 def _pack(state):
     """``state`` as one row z = (x1, x2, S11, S12, S22), S12 the mean of
     sigma's off-diagonal entries, halved before the sum so it cannot overflow."""
-    mean = np.asarray(state.mean, dtype=float)
-    sigma = np.asarray(state.sigma, dtype=float)
+    mean, sigma = state.mean, state.sigma
     return np.array([mean[0], mean[1], sigma[0, 0],
                      0.5 * sigma[0, 1] + 0.5 * sigma[1, 0], sigma[1, 1]])
 
@@ -180,11 +188,11 @@ def evolve(state, params, t_final, dt, sample_every=1):
     """Integrate the model from ``state`` and record sampled diagnostics.
 
     Samples are taken at t = 0 and then every ``sample_every`` steps, so the
-    recorded times are uniformly spaced by ``sample_every * dt``.  The
-    initial covariance must pass :func:`_mat2.check_spd`; after that every
-    step is checked, and :class:`~lindosc.errors.PositivityLost` reports the
-    time of the first step whose covariance lost positive definiteness or
-    whose state is no longer finite.
+    recorded times are uniformly spaced by ``sample_every * dt``.
+    :class:`GaussianState` checks the initial state; every step is checked,
+    and :class:`~lindosc.errors.PositivityLost` reports the time of the first
+    step whose covariance lost positive definiteness or whose state is no
+    longer finite.
     """
     if not t_final >= 0:
         raise ValueError("t_final must be nonnegative")
@@ -192,7 +200,6 @@ def evolve(state, params, t_final, dt, sample_every=1):
         raise ValueError("dt must be positive")
     if sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
-    _mat2.check_spd(np.asarray(state.sigma, dtype=float), "initial covariance")
     n_steps = int(round(t_final / dt))
 
     drift = _model.build_drift(params)
@@ -234,7 +241,7 @@ def stationary_covariance(drift, diffusion):
 
     Requires a Hurwitz drift (both eigenvalues with negative real part);
     raises :class:`~lindosc.errors.NotStable` without one, and when the
-    linear solve is singular or inaccurate.
+    linear solve is singular, inaccurate or not finite.
     """
     drift = np.asarray(drift, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)
@@ -250,7 +257,7 @@ def stationary_covariance(drift, diffusion):
 
     residual = rhs_sigma(sigma, drift, diffusion)
     rhs_norm = np.linalg.norm(2.0 * diffusion)
-    if np.linalg.norm(residual) > 1e-10 * max(rhs_norm, 1e-300):
+    if not np.linalg.norm(residual) <= 1e-10 * max(rhs_norm, 1e-300):  # NaN fails
         raise NotStable(
             f"stationary solve residual {np.linalg.norm(residual)} too large")
     return sigma

@@ -12,9 +12,10 @@ class LindoscError(Exception):
 
 
 class ConfigError(LindoscError):
-    """Malformed configuration or model document, a search range that does
-    not bracket the optimum, or a quadrature box too narrow for the
-    Gaussian's mass."""
+    """Malformed configuration, a model constant that is not finite (or not
+    positive where it must be), a matrix composed past the float range, a
+    search range that does not bracket the optimum, or a quadrature box too
+    narrow for the Gaussian's mass."""
 
 
 class NotSPD(LindoscError):

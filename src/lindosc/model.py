@@ -9,12 +9,11 @@ matrix and the scaled diffusion matrix that drive the covariance dynamics.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _mat2, decomposition
+from . import _mat2
 from .errors import ConfigError
 
 #: Absolute floor used in the positivity-constraint tolerance.
@@ -38,8 +37,9 @@ class ModelParams:
     ``D_qq`` and ``D_pp`` are the position/momentum diffusion coefficients,
     ``D_pq`` the cross term and ``lam`` the friction constant.  Construction
     only enforces the strictly structural requirements (positive, finite
-    mass, frequency and action scale); the diffusion positivity constraint is
-    checked by :func:`validate`, which reports rather than raises.
+    mass, frequency and action scale; finite coefficients); the diffusion
+    positivity constraint is checked by :func:`validate`, which reports
+    rather than raises.
     """
 
     m: float
@@ -56,6 +56,9 @@ class ModelParams:
                             ("action scale", self.hbar)):
             if not 0 < value < math.inf:
                 raise ConfigError(f"{what} must be positive and finite, got {value}")
+        for name in ("mu", "D_qq", "D_pp", "D_pq", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
     @classmethod
     def from_couplings(cls, couplings, m, omega, mu, hbar):
@@ -134,51 +137,3 @@ def build_scaled_diffusion(params):
     mw = params.m * params.omega
     return np.array([[mw * params.D_qq, params.D_pq],
                      [params.D_pq, params.D_pp / mw]])
-
-
-def _number(doc, key):
-    """``doc[key]`` as a float; a bool or a string is not a number."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"model {key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"model {key} is past the float range") from None
-
-
-def model_from_dict(doc):
-    """Build :class:`ModelParams` from a JSON model document.
-
-    The ``diffusion`` entry carries exactly one of two forms: raw
-    coefficients ``{"D_qq", "D_pp", "D_pq"}`` or the decomposed form
-    ``{"Delta", "d", "phi"}`` (intensity, anisotropy, angle of the scaled
-    diffusion matrix).
-    """
-    try:
-        m, omega, mu, hbar, lam = (_number(doc, key)
-                                   for key in ("m", "omega", "mu", "hbar", "lambda"))
-        diffusion = doc["diffusion"]
-        keys = set(diffusion)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed model document: {exc!r}") from exc
-
-    raw_keys = ("D_qq", "D_pp", "D_pq")
-    dec_keys = ("Delta", "d", "phi")
-    if keys == set(raw_keys):
-        d_qq, d_pp, d_pq = (_number(diffusion, key) for key in raw_keys)
-    elif keys == set(dec_keys):
-        dec = decomposition.DiffDecomposition(
-            *(_number(diffusion, key) for key in dec_keys))
-        scaled = decomposition.compose_diffusion(dec, hbar)
-        mw = m * omega
-        d_qq = scaled[0, 0] / mw
-        d_pp = scaled[1, 1] * mw
-        d_pq = scaled[0, 1]
-    else:
-        raise ConfigError(
-            "diffusion must contain exactly the keys "
-            f"{sorted(raw_keys)} or {sorted(dec_keys)}, got {sorted(keys)}")
-
-    return ModelParams(m=m, omega=omega, mu=mu, hbar=hbar,
-                       D_qq=d_qq, D_pp=d_pp, D_pq=d_pq, lam=lam)

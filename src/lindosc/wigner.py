@@ -63,7 +63,7 @@ def wigner_eval(state, point):
     """Gaussian phase-space density of the state at one point ``(2,)``, as a
     float, or at each row of an ``(n, 2)`` array, as an array."""
     point = np.asarray(point, dtype=float)
-    inv, norm = _density(np.asarray(state.sigma, dtype=float))
+    inv, norm = _density(state.sigma)
     dx = np.reshape(point, (-1, 2)) - state.mean
     f = _gaussian(inv, norm, dx[:, 0], dx[:, 1])
     return float(f[0]) if point.ndim == 1 else f
@@ -76,9 +76,8 @@ def wigner_grid(state, spec):
     over x1).  The box half-width is ``spec.n_sigma`` times the largest
     standard deviation of the state.
     """
-    sigma = np.asarray(state.sigma, dtype=float)
-    inv, norm = _density(sigma)
-    half = spec.n_sigma * math.sqrt(_mat2.spectrum(sigma)[2])
+    inv, norm = _density(state.sigma)
+    half = spec.n_sigma * math.sqrt(_mat2.spectrum(state.sigma)[2])
 
     x1 = state.mean[0] + np.linspace(-half, half, spec.n_points)
     x2 = state.mean[1] + np.linspace(-half, half, spec.n_points)

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindosc import (CovDecomposition, GaussianState, QuadratureSpec,
-                     __version__, area, build_scaled_diffusion, compose,
-                     decompose_diffusion, model_from_dict, rate_landscape,
-                     wigner_grid)
+from lindosc import (CovDecomposition, DiffDecomposition, GaussianState,
+                     ModelParams, QuadratureSpec, __version__, area,
+                     build_scaled_diffusion, compose, compose_diffusion,
+                     decompose_diffusion, rate_landscape, wigner_grid)
 from lindosc.cli import _MAX_SIZE, _check_config, main
 from lindosc.errors import ConfigError
 
@@ -50,11 +50,12 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, config)
         assert main(["validate", "--config", cfg]) == 2
 
-    def test_missing_field(self, tmp_path):
+    def test_missing_field(self, tmp_path, capsys):
         config = base_config(tmp_path)
         del config["model"]["omega"]
         cfg = write_config(tmp_path, config)
         assert main(["validate", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: config is missing model.omega\n"
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -90,6 +91,25 @@ def evolve_config(tmp_path, **kw):
     }
     config["evolve"].update(kw)
     return config
+
+
+class TestModelForms:
+    # The model section's diffusion comes in one of two forms; each builds
+    # the ModelParams of its own arithmetic.
+    def test_raw_form(self, tmp_path):
+        config = base_config(tmp_path, m=2.0, omega=1.5)
+        assert _check_config(config)["model"] == ModelParams(
+            m=2.0, omega=1.5, mu=0.0, hbar=1.0, D_qq=0.6, D_pp=0.6, D_pq=0.0, lam=0.5)
+
+    def test_decomposed_form_round_trips(self, tmp_path):
+        config = base_config(tmp_path, m=2.0, omega=1.5,
+                             diffusion={"Delta": 1.2, "d": 2.0, "phi": 0.4})
+        p = _check_config(config)["model"]
+        scaled = compose_diffusion(DiffDecomposition(1.2, 2.0, 0.4), 1.0)
+        assert (p.D_qq, p.D_pp, p.D_pq) == (
+            scaled[0, 0] / 3.0, scaled[1, 1] * 3.0, scaled[0, 1])
+        dec = decompose_diffusion(build_scaled_diffusion(p), p.hbar)
+        assert (dec.Delta, dec.d, dec.phi) == pytest.approx((1.2, 2.0, 0.4))
 
 
 class TestEvolveCommand:
@@ -430,7 +450,7 @@ def test_example_grid_tables_are_per_value_formatting(tmp_path):
     assert main(["wigner", "--config", example] + sets) == 0
     assert main(["sweep", "--config", example] + sets) == 0
 
-    params = model_from_dict(config["model"])
+    params = _check_config(config)["model"]
     spec = config["state"]
     state = GaussianState(mean=spec["mean"], sigma=compose(
         CovDecomposition(spec["A"], spec["aleph"], spec["theta"]), params.hbar))
@@ -553,6 +573,12 @@ def test_every_config_ends_in_a_documented_exit(command, in_file, overrides,
     ("evolve", "evolve.dt.x=1"),
     ("sieve", "model.diffusion.D_qq=1e300"),
     ("sieve", "model.diffusion.D_qq=1e307"),
+    ("validate", 'model.diffusion={"D_qq":0.5,"Delta":1.0}'),
+    ("validate", "model.diffusion.D_qq=true"),
+    ("validate", 'model.hbar="1.0"'),
+    ("validate", 'model.diffusion={"Delta":1,"d":1e200,"phi":0}'),
+    pytest.param("validate", f"model.lambda={10 ** 400}", id="validate-lambda=10**400"),
+    ("evolve", "state.A=1.7e308"),  # A * aleph**2 is past the float range
 ])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, command, override):
     example = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"

@@ -113,6 +113,7 @@ class TestDiffusionDecomposition:
         dec = decompose_diffusion(0.5 * HBAR * np.diag([9.0, 1 / 9.0]), HBAR)
         assert (dec.Delta, dec.d, dec.phi) == pytest.approx((1.0, 3.0, 0.0))
 
+    @pytest.mark.filterwarnings("error")
     def test_zero_is_singular(self):
         with pytest.raises(NotSPD):
             decompose_diffusion(np.zeros((2, 2)), HBAR)
@@ -127,6 +128,11 @@ class TestDiffusionDecomposition:
                 compose(CovDecomposition(1.0, ratio, 0.0), HBAR)
         with pytest.raises(ConfigError):
             compose_diffusion(DiffDecomposition(1.0, 1e200, 0.0), HBAR)
+        # Nor one whose finite factors multiply past the float range.
+        with pytest.raises(ConfigError):
+            compose(CovDecomposition(1e308, 1e10, 0.0), 1.0)
+        with pytest.raises(ConfigError):
+            compose_diffusion(DiffDecomposition(1e308, 1.0, 0.0), 4.0)
 
     def test_round_trip(self):
         src = DiffDecomposition(Delta=0.8, d=2.5, phi=2.2)

@@ -6,7 +6,7 @@ import pytest
 from lindosc import (CovDecomposition, GaussianState, ModelParams, build_drift,
                      compose, entropy, evolve, heisenberg_slack, rhs_sigma,
                      stationary_covariance)
-from lindosc.errors import NotStable, PositivityLost
+from lindosc.errors import NotStable, PositivityLost, UnphysicalState
 
 HBAR = 1.0
 
@@ -157,6 +157,14 @@ def test_heisenberg_preserved_for_random_valid_models():
         assert slacks.min() >= -1e-9 * HBAR ** 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mean", [[math.nan, 0.0], [0.0, math.inf], [1.0, 2.0, 3.0],
+                                  [1.0]], ids=["nan", "inf", "three", "one"])
+def test_state_mean_must_be_two_finite_numbers(mean):
+    with pytest.raises(UnphysicalState):
+        GaussianState(mean=mean, sigma=iso(1.0))
+
+
 class TestStationaryCovariance:
     def test_isotropic(self):
         lam, delta = 0.5, 1.5
@@ -172,6 +180,12 @@ class TestStationaryCovariance:
                       np.array([[1.0, 2.0], [-1.0, -1.0]])):
             with pytest.raises(NotStable):
                 stationary_covariance(drift, iso(1.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_diffusion_not_stable(self):
+        # A NaN residual is not within the bound, so the solve is refused.
+        with pytest.raises(NotStable):
+            stationary_covariance(-np.eye(2), [[math.nan, 0.0], [0.0, 1.0]])
 
     def test_random_hurwitz_residual(self):
         rng = np.random.default_rng(17)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindosc import (LindbladCouplings, ModelParams, build_drift,
-                     build_scaled_diffusion, model_from_dict, validate)
+                     build_scaled_diffusion, validate)
 from lindosc.errors import ConfigError
 
 
@@ -133,7 +133,8 @@ class TestConstruction:
             params(**{field: 0.0})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["m", "omega", "hbar"])
+    @pytest.mark.parametrize("field", ["m", "omega", "hbar", "mu", "D_qq", "D_pp",
+                                       "D_pq", "lam"])
     def test_non_finite_constants_rejected(self, field, value):
         with pytest.raises(ConfigError):
             params(**{field: value})
@@ -142,45 +143,3 @@ class TestConstruction:
         c = LindbladCouplings(a1=1.0, b1=-1j)
         p = ModelParams.from_couplings(c, m=2.0, omega=0.5, mu=0.1, hbar=1.0)
         assert (p.D_qq, p.D_pp, p.D_pq, p.lam) == pytest.approx((0.5, 0.5, 0.0, 1.0))
-
-
-class TestModelDocument:
-    def doc(self, diffusion):
-        return {"m": 1.0, "omega": 1.0, "mu": 0.0, "hbar": 1.0,
-                "lambda": 0.3, "diffusion": diffusion}
-
-    def test_raw_form(self):
-        p = model_from_dict(self.doc({"D_qq": 0.5, "D_pp": 0.5, "D_pq": 0.0}))
-        assert p.D_qq == 0.5 and p.lam == 0.3
-
-    def test_decomposed_form_round_trips(self):
-        p = model_from_dict(self.doc({"Delta": 1.2, "d": 2.0, "phi": 0.4}))
-        from lindosc import build_scaled_diffusion, decompose_diffusion
-        dec = decompose_diffusion(build_scaled_diffusion(p), p.hbar)
-        assert (dec.Delta, dec.d, dec.phi) == pytest.approx((1.2, 2.0, 0.4))
-
-    def test_mixed_forms_rejected(self):
-        with pytest.raises(ConfigError):
-            model_from_dict(self.doc({"D_qq": 0.5, "Delta": 1.0}))
-
-    @pytest.mark.parametrize("diffusion, hbar", [
-        ({"D_qq": True, "D_pp": 0.5, "D_pq": 0.0}, 1.0),  # a bool
-        ({"D_qq": 0.5, "D_pp": 0.5, "D_pq": 0.0}, "1.0"),  # a numeric string
-        ({"Delta": 1.0, "d": 0.0, "phi": 0.0}, 1.0)])  # d ** -2 divides by 0
-    def test_non_number_or_zero_anisotropy_rejected(self, diffusion, hbar):
-        with pytest.raises(ConfigError):
-            model_from_dict({**self.doc(diffusion), "hbar": hbar})
-
-    @pytest.mark.parametrize("override", [
-        {"diffusion": {"Delta": 1.0, "d": 1e200, "phi": 0.0}},  # d ** 2 overflows
-        {"lambda": 10 ** 400}])  # no float holds it
-    def test_past_the_float_range_rejected(self, override):
-        doc = {**self.doc({"D_qq": 0.5, "D_pp": 0.5, "D_pq": 0.0}), **override}
-        with pytest.raises(ConfigError):
-            model_from_dict(doc)
-
-    def test_missing_field_rejected(self):
-        doc = self.doc({"D_qq": 0.5, "D_pp": 0.5, "D_pq": 0.0})
-        del doc["omega"]
-        with pytest.raises(ConfigError):
-            model_from_dict(doc)

@@ -44,9 +44,9 @@ class TestWignerEval:
         assert wigner_eval(coherent(), (3.0, -2.0)) > 0.0
 
     def test_rejects_indefinite(self):
-        state = GaussianState(mean=[0, 0], sigma=np.diag([1.0, -1.0]))
         with pytest.raises(NotSPD):
-            wigner_eval(state, (0.0, 0.0))
+            wigner_eval(GaussianState(mean=[0, 0], sigma=np.diag([1.0, -1.0])),
+                        (0.0, 0.0))
 
 
 class TestNormalization:
