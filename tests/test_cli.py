@@ -573,11 +573,6 @@ def test_every_config_ends_in_a_documented_exit(command, in_file, overrides,
     ("evolve", "evolve.dt.x=1"),
     ("sieve", "model.diffusion.D_qq=1e300"),
     ("sieve", "model.diffusion.D_qq=1e307"),
-    ("validate", 'model.diffusion={"D_qq":0.5,"Delta":1.0}'),
-    ("validate", "model.diffusion.D_qq=true"),
-    ("validate", 'model.hbar="1.0"'),
-    ("validate", 'model.diffusion={"Delta":1,"d":1e200,"phi":0}'),
-    pytest.param("validate", f"model.lambda={10 ** 400}", id="validate-lambda=10**400"),
     ("evolve", "state.A=1.7e308"),  # A * aleph**2 is past the float range
 ])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, command, override):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lindosc import (LindbladCouplings, ModelParams, build_drift,
                      build_scaled_diffusion, validate)
+from lindosc.cli import _check_config
 from lindosc.errors import ConfigError
 
 
@@ -143,3 +144,36 @@ class TestConstruction:
         c = LindbladCouplings(a1=1.0, b1=-1j)
         p = ModelParams.from_couplings(c, m=2.0, omega=0.5, mu=0.1, hbar=1.0)
         assert (p.D_qq, p.D_pp, p.D_pq, p.lam) == pytest.approx((0.5, 0.5, 0.0, 1.0))
+
+
+class TestModelDocument:
+    # The model table of a config document, read by the CLI's config check.
+    def doc(self, diffusion):
+        return {"m": 1.0, "omega": 1.0, "mu": 0.0, "hbar": 1.0,
+                "lambda": 0.3, "diffusion": diffusion}
+
+    def test_mixed_forms_rejected(self):
+        with pytest.raises(ConfigError):
+            _check_config({"model": self.doc({"D_qq": 0.5, "Delta": 1.0})})
+
+    @pytest.mark.parametrize("diffusion, hbar", [
+        ({"D_qq": True, "D_pp": 0.5, "D_pq": 0.0}, 1.0),  # a bool
+        ({"D_qq": 0.5, "D_pp": 0.5, "D_pq": 0.0}, "1.0"),  # a numeric string
+        ({"Delta": 1.0, "d": 0.0, "phi": 0.0}, 1.0)])  # d ** -2 divides by 0
+    def test_non_number_or_zero_anisotropy_rejected(self, diffusion, hbar):
+        with pytest.raises(ConfigError):
+            _check_config({"model": {**self.doc(diffusion), "hbar": hbar}})
+
+    @pytest.mark.parametrize("override", [
+        {"diffusion": {"Delta": 1.0, "d": 1e200, "phi": 0.0}},  # d ** 2 overflows
+        {"lambda": 10 ** 400}])  # no float holds it
+    def test_past_the_float_range_rejected(self, override):
+        doc = {**self.doc({"D_qq": 0.5, "D_pp": 0.5, "D_pq": 0.0}), **override}
+        with pytest.raises(ConfigError):
+            _check_config({"model": doc})
+
+    def test_missing_field_rejected(self):
+        doc = self.doc({"D_qq": 0.5, "D_pp": 0.5, "D_pq": 0.0})
+        del doc["omega"]
+        with pytest.raises(ConfigError):
+            _check_config({"model": doc})
