@@ -31,12 +31,15 @@ _SYMMETRY_RTOL = 1e-9
 
 def check_spd(m, name="matrix"):
     """Return ``(unit, s, det(unit))`` with ``(unit, s)`` from :func:`normalize`;
-    raise :class:`NotSPD` unless ``m``, or every matrix of a stack, is finite,
-    symmetric (|m01 - m10| at most 1e-9 of the largest |entry|) and positive
-    definite (``min(det, m11) > 0``), both tested on ``unit``.  This is the
-    package's one test of an acceptable covariance or diffusion matrix.  A
-    NaN fails it, and a determinant past the float range does not.
+    raise :class:`NotSPD` unless ``m`` is a 2x2 matrix or a stack of them
+    (its last two axes are ``(2, 2)``) and each is finite, symmetric
+    (|m01 - m10| at most 1e-9 of the largest |entry|) and positive definite
+    (``min(det, m11) > 0``), both tested on ``unit``.  This is the package's
+    one test of an acceptable covariance or diffusion matrix.  A NaN fails
+    it, and a determinant past the float range does not.
     """
+    if np.shape(m)[-2:] != (2, 2):
+        raise NotSPD(f"{name} of shape {np.shape(m)} is not a 2x2 matrix")
     if np.isfinite(m).all():
         unit, s, top = normalize(m)
         t = unit.T

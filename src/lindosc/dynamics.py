@@ -26,7 +26,7 @@ import numpy as np
 from . import _mat2
 from . import entropy as _entropy
 from . import model as _model
-from .errors import NotStable, PositivityLost, UnphysicalState
+from .errors import NotSPD, NotStable, PositivityLost, UnphysicalState
 
 #: Relative (to trace) tolerance on the smallest covariance eigenvalue.
 _PD_TOL = 1e-10
@@ -38,7 +38,7 @@ class GaussianState:
 
     Construction raises :class:`~lindosc.errors.UnphysicalState` unless the
     mean is two finite numbers, and :class:`~lindosc.errors.NotSPD` unless
-    the covariance passes :func:`_mat2.check_spd`.
+    the covariance is one 2x2 matrix that passes :func:`_mat2.check_spd`.
     """
 
     mean: np.ndarray
@@ -48,9 +48,12 @@ class GaussianState:
         mean = np.asarray(self.mean, dtype=float)
         if mean.shape != (2,) or not np.isfinite(mean).all():
             raise UnphysicalState(f"mean {mean.tolist()} is not two finite numbers")
+        sigma = np.asarray(self.sigma, dtype=float)
+        if sigma.shape != (2, 2):
+            raise NotSPD(f"covariance of shape {sigma.shape} is not a 2x2 matrix")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-        _mat2.check_spd(self.sigma, "covariance")
+        object.__setattr__(self, "sigma", sigma)
+        _mat2.check_spd(sigma, "covariance")
 
 
 @dataclass(frozen=True)

@@ -90,9 +90,14 @@ def report(sigma, drift, diffusion, hbar):
     ``(n, 2, 2)``, in one pass.
 
     Raises :class:`~lindosc.errors.NotSPD` for the first matrix that is not
-    finite, symmetric and positive definite, or is numerically singular.  A
-    diagnostic past the float range comes out inf or nan, without a warning.
+    finite, symmetric and positive definite, or is numerically singular, and
+    for a diffusion that is not a finite 2x2 matrix (a singular one is
+    valid).  A diagnostic past the float range comes out inf or nan, without
+    a warning.
     """
+    diffusion = np.asarray(diffusion, dtype=float)
+    if diffusion.shape != (2, 2) or not np.isfinite(diffusion).all():
+        raise NotSPD(f"diffusion matrix {diffusion.tolist()} is not a finite 2x2 matrix")
     unit, s, a, det = _area(np.asarray(sigma, dtype=float), hbar)
     inv = _inv2(unit, s, det).T
     with np.errstate(over="ignore", invalid="ignore"):

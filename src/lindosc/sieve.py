@@ -43,14 +43,21 @@ class SieveResult:
     grid_rate: Optional[float] = None
 
 
-def _bracket(aleph, theta, diff):
-    """The bracket B of the module docstring.  Broadcasts over arrays."""
+def _bracket_factors(aleph, theta, diff):
+    """``(c2, s2, f_cos, f_sin)`` with B = c2*f_cos + s2*f_sin: the angular
+    weights depend on theta alone and the factors on aleph alone."""
     delta_angle = theta - diff.phi
     c2 = np.cos(delta_angle) ** 2
     s2 = np.sin(delta_angle) ** 2
     al2 = aleph ** 2
     d2 = diff.d ** 2
-    return c2 * (al2 / d2 + d2 / al2) + s2 * (al2 * d2 + 1.0 / (al2 * d2))
+    return c2, s2, al2 / d2 + d2 / al2, al2 * d2 + 1.0 / (al2 * d2)
+
+
+def _bracket(aleph, theta, diff):
+    """The bracket B of the module docstring.  Broadcasts over arrays."""
+    c2, s2, f_cos, f_sin = _bracket_factors(aleph, theta, diff)
+    return c2 * f_cos + s2 * f_sin
 
 
 def rate_at(aleph, theta, area, lam, diff):
@@ -86,6 +93,10 @@ def _default_grids(diff, n_aleph, n_theta, aleph_range):
     thetas = np.linspace(0.0, math.pi, n_theta, endpoint=False)
     return alephs, thetas
 
+
+#: Aleph rows of B per tile in :func:`grid_search`: two tiles of a 361-angle
+#: grid take 185 kB, where the whole grid would take 1.2 MB per temporary.
+_TILE_ROWS = 32
 
 #: The polish stops once its quadratic model predicts a decrease of B below
 #: this many ulps of B: B itself is only evaluated to a few ulps.
@@ -172,15 +183,34 @@ def grid_search(area, lam, diff, n_aleph, n_theta, aleph_range):
     times a uniform theta grid on [0, pi), then a polish of the best cell.
 
     The best cell minimizes the bracket B, to which the rate is affine with
-    a positive coefficient; ties resolve to the lowest flat index (aleph
-    outer, theta inner).  Safeguarded Newton steps on B then refine the cell
-    to rounding level, independently of the analytic minimizer and of the
-    area.  Returns ``(aleph, theta, rate)`` at the polished point, with
-    ``aleph >= 1`` and ``theta`` in [0, pi).
+    a positive coefficient.  Every cell is evaluated, in tiles of
+    ``_TILE_ROWS`` aleph rows written into two reused buffers with the
+    products and sum of :func:`_bracket`, so each B is that of
+    :func:`_bracket` bit for bit.  A running argmin keeps each tile's first
+    minimum and takes the first of those, so the cell is that of
+    ``np.argmin`` over the whole grid: ties resolve to the lowest flat index
+    (aleph outer, theta inner), and a NaN cell wins as there.  Safeguarded
+    Newton steps on B then refine the cell to rounding level, independently
+    of the analytic minimizer and of the area.  Returns
+    ``(aleph, theta, rate)`` at the polished point, with ``aleph >= 1`` and
+    ``theta`` in [0, pi).
     """
     alephs, thetas = _default_grids(diff, n_aleph, n_theta, aleph_range)
-    brackets = _bracket(alephs[:, None], thetas[None, :], diff)
-    i, j = divmod(int(np.argmin(brackets)), brackets.shape[1])
+    c2, s2, f_cos, f_sin = _bracket_factors(alephs[:, None], thetas[None, :], diff)
+    cos_tile = np.empty((_TILE_ROWS, len(thetas)))
+    sin_tile = np.empty_like(cos_tile)
+    starts = range(0, len(alephs), _TILE_ROWS)
+    firsts = np.empty(len(starts), dtype=np.intp)
+    lows = np.empty(len(starts))
+    for k, start in enumerate(starts):
+        stop = min(start + _TILE_ROWS, len(alephs))
+        b, sin_part = cos_tile[:stop - start], sin_tile[:stop - start]
+        np.multiply(c2, f_cos[start:stop], out=b)
+        np.multiply(s2, f_sin[start:stop], out=sin_part)
+        np.add(b, sin_part, out=b)
+        first = int(np.argmin(b))
+        firsts[k], lows[k] = start * len(thetas) + first, b.flat[first]
+    i, j = divmod(int(firsts[np.argmin(lows)]), len(thetas))
     aleph, theta = _polish(float(alephs[i]), float(thetas[j]), diff)
     rate = rate_at(aleph, theta, area, lam, diff)
     if aleph < 1.0:

@@ -574,6 +574,8 @@ def test_every_config_ends_in_a_documented_exit(command, in_file, overrides,
     ("sieve", "model.diffusion.D_qq=1e300"),
     ("sieve", "model.diffusion.D_qq=1e307"),
     ("evolve", "state.A=1.7e308"),  # A * aleph**2 is past the float range
+    ("sieve", "sieve.aleph_max=1e200"),  # aleph**2 overflows in the grid
+    ("sieve", "sieve.aleph_min=1e-200"),  # and here underflows to 0
 ])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, command, override):
     example = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lindosc import sieve
 from lindosc.errors import ConfigError
 
 HBAR = 1.0
+POLISH = sieve._polish
 
 
 def diff(delta=1.0, d=2.0, phi=0.3):
@@ -189,3 +191,94 @@ class TestProperties:
                       phi=rng.uniform(0, math.pi))
             lam = rng.uniform(-dd.Delta, dd.Delta)  # constraint: Delta >= |lam|
             assert analytic_minimizer(1.0, lam, dd).min_rate >= -1e-12
+
+
+def _literal_bracket(aleph, theta, dd):
+    """B as one expression, as the module docstring writes it."""
+    c2 = np.cos(theta - dd.phi) ** 2
+    s2 = np.sin(theta - dd.phi) ** 2
+    al2, d2 = aleph ** 2, dd.d ** 2
+    return c2 * (al2 / d2 + d2 / al2) + s2 * (al2 * d2 + 1.0 / (al2 * d2))
+
+
+def _one_shot_search(area, lam, dd, n_aleph, n_theta, aleph_range):
+    """The reference for grid_search: B over the whole grid at once and one
+    np.argmin.  Returns the chosen cell and the polished result."""
+    alephs, thetas = sieve._default_grids(dd, n_aleph, n_theta, aleph_range)
+    brackets = sieve._bracket(alephs[:, None], thetas[None, :], dd)
+    assert np.array_equal(brackets, _literal_bracket(alephs[:, None], thetas[None, :], dd))
+    i, j = divmod(int(np.argmin(brackets)), brackets.shape[1])
+    cell = (float(alephs[i]), float(thetas[j]))
+    aleph, theta = POLISH(*cell, dd)
+    rate = rate_at(aleph, theta, area, lam, dd)
+    if aleph < 1.0:
+        aleph, theta = 1.0 / aleph, theta + math.pi / 2.0
+    return cell, (aleph, theta % math.pi, rate)
+
+
+class _Cell(Exception):
+    """Raised in place of the polish, carrying the cell it was handed."""
+
+
+def _stop_at_cell(aleph, theta, dd):
+    raise _Cell(aleph, theta)
+
+
+class TestTiledSearch:
+    def test_same_cell_and_result_as_one_shot_argmin(self, monkeypatch):
+        # One tile, a full tile, a full tile plus one row, a partial last
+        # tile; isotropic models, where B is flat in theta up to rounding;
+        # and lo == hi == d, where every aleph row is the same.
+        rng = np.random.default_rng(41)
+        for k in range(1000):
+            d = 1.0 if k % 4 == 0 else float(rng.uniform(1.0, 5.0))
+            dd = diff(delta=rng.uniform(0.1, 3.0), d=d, phi=rng.uniform(0, math.pi))
+            n_aleph = (1, 31, 32, 33, 401)[k % 5]
+            n_theta = int(rng.choice([1, 2, 90, 361]))
+            if k % 7 == 0:
+                aleph_range = (d, d)
+            else:
+                aleph_range = (d / rng.uniform(1.1, 5.0), d * rng.uniform(1.1, 5.0))
+            args = (rng.uniform(1.0, 8.0), rng.normal(), dd, n_aleph, n_theta,
+                    aleph_range)
+            cell, expected = _one_shot_search(*args)
+            with monkeypatch.context() as m:
+                m.setattr(sieve, "_polish", _stop_at_cell)
+                with pytest.raises(_Cell) as chosen:
+                    grid_search(*args)
+            assert chosen.value.args == cell
+            assert grid_search(*args) == expected
+
+    @pytest.mark.parametrize("rows", [
+        {31: 1.0, 32: 1.0},                 # a tie across the first boundary
+        {32: 1.0, 64: 1.0, 95: 1.0},        # ties at tile starts and ends
+        {0: 2.0, 40: 1.0, 65: 1.0},         # later tiles, still the lowest wins
+        {5: 1.0, 40: math.nan, 70: math.nan},   # the first NaN wins, as in argmin
+        dict.fromkeys(range(32), math.inf),     # a first tile all inf
+        dict.fromkeys(range(100), math.inf),    # an all-inf grid: the first cell
+    ])
+    def test_ties_and_nan_resolve_as_argmin_over_the_whole_grid(self, monkeypatch, rows):
+        n_aleph, n_theta = 100, 3
+        column = np.full((n_aleph, 1), 5.0)
+        for row, value in rows.items():
+            column[row] = value
+        c2, s2 = np.ones((1, n_theta)), np.zeros((1, n_theta))
+        monkeypatch.setattr(sieve, "_bracket_factors",
+                            lambda *_: (c2, s2, column, np.zeros_like(column)))
+        monkeypatch.setattr(sieve, "_polish", _stop_at_cell)
+        dd = diff()
+        with pytest.raises(_Cell) as chosen:
+            grid_search(1.0, 0.2, dd, n_aleph, n_theta, (0.5, 8.0))
+        alephs, thetas = sieve._default_grids(dd, n_aleph, n_theta, (0.5, 8.0))
+        i, j = divmod(int(np.argmin(c2 * column + s2 * 0.0)), n_theta)
+        assert chosen.value.args == (alephs[i], thetas[j])
+
+    def test_memory_stays_below_half_a_grid(self):
+        # The tiles replace grid-sized temporaries (1.16 MB each at 401 x 361).
+        tracemalloc.start()
+        try:
+            grid_search(1.0, 0.2, diff(), 401, 361, (0.5, 8.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 401 * 361 * 8 / 2

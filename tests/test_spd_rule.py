@@ -10,6 +10,7 @@ from lindosc import (DiffDecomposition, GaussianState, ModelParams,
                      QuadratureSpec, area, decompose, decompose_diffusion,
                      evolve, initial_rate, linear_entropy, wigner_eval,
                      wigner_grid)
+from lindosc._mat2 import check_spd
 from lindosc.entropy import report
 from lindosc.errors import NotSPD
 
@@ -54,6 +55,40 @@ def test_every_entry_point_rejects_the_same_matrices(entry, matrix):
     entry(GOOD)
     with pytest.raises(NotSPD):
         entry(matrix)
+
+
+def test_check_spd_takes_only_2x2_matrices_and_stacks():
+    check_spd(np.array([GOOD, GOOD, GOOD]))
+    for m in (np.diag([1.0, 1.0, -5.0]), np.eye(3), np.ones(2), np.ones((2, 3)),
+              np.ones((3, 2, 3)), np.float64(1.0)):
+        with pytest.raises(NotSPD, match="not a 2x2 matrix"):
+            check_spd(m)
+
+
+@pytest.mark.parametrize("sigma", [np.diag([1.0, 1.0, -5.0]), np.array([GOOD] * 3)],
+                         ids=["3x3", "stack"])
+def test_a_state_has_one_2x2_covariance(sigma):
+    with pytest.raises(NotSPD, match="not a 2x2 matrix"):
+        state(sigma)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("diffusion", [
+    [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]], np.eye(3)],
+    ids=["nan", "inf", "3x3"])
+def test_rates_reject_a_diffusion_that_is_not_a_finite_2x2_matrix(diffusion):
+    with pytest.raises(NotSPD):
+        initial_rate(GOOD, diffusion, 0.3, HBAR)
+    with pytest.raises(NotSPD):
+        report(GOOD, DRIFT, diffusion, HBAR)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_singular_diffusion_gives_a_rate():
+    # D = 0 (no environment) and a rank-one D are valid diffusions; with
+    # D = 0 a pure state's rate is the drift's trace, -2 * lam.
+    assert initial_rate(GOOD, np.zeros((2, 2)), 0.3, HBAR) == pytest.approx(-0.6)
+    assert np.isfinite(initial_rate(GOOD, np.ones((2, 2)), 0.3, HBAR))
 
 
 def _decompose(m, hbar):
