@@ -60,9 +60,9 @@ _MAX_SIZE = 10 ** 6
 #: lambda**2 hbar**2, aleph**2) and sum up to four such, which stays finite.
 _LARGEST = 2.0 ** 510
 
-# Ranges: (text, test); the test is false for NaN except in _ANY.
+# Ranges: (text, test); the test is false for NaN except in _ANY, the range
+# of each key whose value a constructor called by _check_config checks.
 _ANY = ("", lambda x: True)
-_FINITE = ("finite", math.isfinite)
 _POSITIVE = ("> 0, finite", lambda x: 0 < x < math.inf)
 _SCALE = ("in [2**-510, 2**510]", lambda x: 1.0 / _LARGEST <= x <= _LARGEST)
 _COUNT = (">= 1", lambda n: n >= 1)
@@ -76,9 +76,9 @@ _PATH = (str, _ANY, None)
 _SCHEMA = {
     "model": ({
         **{k: (float, _SCALE, _REQUIRED) for k in ("m", "omega", "hbar")},
-        "mu": (float, _FINITE, _REQUIRED), "lambda": (float, _FINITE, _REQUIRED),
+        "mu": (float, _ANY, _REQUIRED), "lambda": (float, _ANY, _REQUIRED),
         # D_qq, D_pp, D_pq or Delta, d, phi: _check_config checks which.
-        "diffusion": ({**{k: (float, _FINITE, None)
+        "diffusion": ({**{k: (float, _ANY, None)
                           for k in ("D_qq", "D_pp", "D_pq", "Delta", "phi")},
                        "d": (float, _SCALE, None)}, None, _REQUIRED)}, None, _REQUIRED),
     "validate": ({"report_json": _PATH}, None, {}),
@@ -86,8 +86,8 @@ _SCHEMA = {
         "mean": ("pair", _ANY, [0.0, 0.0]),
         "sigma": ({k: (float, _ANY, _REQUIRED) for k in ("S11", "S12", "S22")},
                   None, None),
-        "A": (float, _FINITE, None), "aleph": (float, _SCALE, None),
-        "theta": (float, _FINITE, None)}, None, None),
+        "A": (float, _ANY, None), "aleph": (float, _SCALE, None),
+        "theta": (float, _ANY, None)}, None, None),
     "evolve": ({
         "t_final": (float, (">= 0, finite", lambda x: 0 <= x < math.inf), 1.0),
         "dt": (float, _POSITIVE, 1e-3), "sample_every": (int, _COUNT, 1),
@@ -104,8 +104,7 @@ _SCHEMA = {
         "landscape_csv": (str, _ANY, _REQUIRED)}, None, None),
     "wigner": ({
         "t_index": (int, (">= 0", lambda n: n >= 0), 0),
-        "n_sigma": (float, _POSITIVE, 8.0),
-        "n_points": (int, (">= 2", lambda n: n >= 2), 201),
+        "n_sigma": (float, _ANY, 8.0), "n_points": (int, _ANY, 201),
         "grid_csv": (str, _ANY, _REQUIRED), "sidecar_json": _PATH}, None, None),
 }
 
@@ -158,9 +157,28 @@ def _bound(what, size):
         raise ConfigError(f"{what} is {size}, past the bound of {_MAX_SIZE}")
 
 
+def _state(spec, hbar):
+    """The ``state`` section's :class:`GaussianState` and its area, which must
+    be finite and at least 1."""
+    if _one_form("state", spec, ("sigma",), ("A", "aleph", "theta")):
+        sigma = decomposition.compose(decomposition.CovDecomposition(
+            spec["A"], spec["aleph"], spec["theta"]), hbar)
+    else:
+        s = spec["sigma"]
+        sigma = [[s["S11"], s["S12"]], [s["S12"], s["S22"]]]
+    state = dynamics.GaussianState(mean=spec["mean"], sigma=sigma)
+    area = entropy.area(state.sigma, hbar)
+    if area == math.inf:
+        raise ConfigError(f"the state's covariance {state.sigma.tolist()} has an area "
+                          "past the float range")
+    entropy.linear_entropy(state.sigma, hbar)  # raises UnphysicalState below area 1
+    return state, area
+
+
 def _check_config(config):
     """``config`` checked against ``_SCHEMA`` and the rules between its keys,
-    with defaults filled in; raises :class:`ConfigError` at the first bad key."""
+    with defaults filled in, the model, state, its ``area`` (1 without one)
+    and ``wigner.quadrature`` built; raises at the first bad key."""
     cfg = _check("", _SCHEMA, None, config)
     doc = cfg["model"]
     diff = doc["diffusion"]
@@ -181,8 +199,7 @@ def _check_config(config):
         if not (abs(matrix) <= _LARGEST).all():
             raise ConfigError(f"model {name} {matrix.tolist()} is not within 2**510")
     state, ev, wig = cfg["state"], cfg["evolve"], cfg["wigner"]
-    if state:
-        _one_form("state", state, ("sigma",), ("A", "aleph", "theta"))
+    cfg["state"], cfg["area"] = _state(state, params.hbar) if state else (None, 1.0)
     _bound("evolve's step count t_final/dt", ev["t_final"] / ev["dt"])
     # The samples must reach t_final: a run of n steps ends on its last
     # sample only if n is a positive multiple of sample_every.
@@ -200,7 +217,9 @@ def _check_config(config):
         if None not in (lo, hi) and lo > hi:
             raise ConfigError(f"{name}.aleph_min {lo} is above {name}.aleph_max {hi}")
     if wig:
-        _bound("wigner grid's n_points**2", wig["n_points"] ** 2)
+        quad = wig["quadrature"] = wigner.QuadratureSpec(wig.pop("n_sigma"),
+                                                         wig.pop("n_points"))
+        _bound("wigner grid's n_points**2", quad.n_points ** 2)
         if wig["t_index"] > n_steps // ev["sample_every"]:
             raise ConfigError(f"wigner.t_index {wig['t_index']} is past the last sample")
     return cfg
@@ -210,22 +229,6 @@ def _section(cfg, name):
     if cfg[name] is None:
         raise ConfigError(f"config is missing the '{name}' section")
     return cfg[name]
-
-
-def _state_from_config(cfg, hbar):
-    spec = _section(cfg, "state")
-    if spec["sigma"] is not None:
-        s = spec["sigma"]
-        sigma = [[s["S11"], s["S12"]], [s["S12"], s["S22"]]]
-    else:
-        sigma = decomposition.compose(decomposition.CovDecomposition(
-            spec["A"], spec["aleph"], spec["theta"]), hbar)
-    state = dynamics.GaussianState(mean=spec["mean"], sigma=sigma)
-    if entropy.area(state.sigma, hbar) == math.inf:
-        raise ConfigError(
-            f"state.sigma {state.sigma.tolist()} has an area past the float range")
-    entropy.linear_entropy(state.sigma, hbar)  # raises UnphysicalState below area 1
-    return state
 
 
 def _emit(obj, path=None):
@@ -258,7 +261,7 @@ def _valid_model(cfg):
 def cmd_evolve(cfg):
     params, report = _valid_model(cfg)
     spec = cfg["evolve"]
-    traj = dynamics.evolve(_state_from_config(cfg, params.hbar), params,
+    traj = dynamics.evolve(_section(cfg, "state"), params,
                            spec["t_final"], spec["dt"], spec["sample_every"])
     slack = dynamics.heisenberg_slack(traj.sigma[-1], params.hbar)
     table = np.column_stack([
@@ -298,10 +301,8 @@ def _grid(cfg, name):
     params, _ = _valid_model(cfg)
     diff = decomposition.decompose_diffusion(
         model.build_scaled_diffusion(params), params.hbar)
-    area = 1.0 if cfg["state"] is None else entropy.area(
-        _state_from_config(cfg, params.hbar).sigma, params.hbar)
     lo, hi = spec["aleph_min"], spec["aleph_max"]
-    return (area, params.lam, diff, spec["n_aleph"], spec["n_theta"],
+    return (cfg["area"], params.lam, diff, spec["n_aleph"], spec["n_theta"],
             (diff.d / 4.0 if lo is None else lo, diff.d * 4.0 if hi is None else hi))
 
 
@@ -349,8 +350,7 @@ def cmd_sweep(cfg):
 def cmd_wigner(cfg):
     spec = _section(cfg, "wigner")
     params, _ = _valid_model(cfg)
-    state = _state_from_config(cfg, params.hbar)
-    quad = wigner.QuadratureSpec(n_sigma=spec["n_sigma"], n_points=spec["n_points"])
+    state, quad = _section(cfg, "state"), spec["quadrature"]
     t_value = 0.0
     if spec["t_index"]:
         ev = cfg["evolve"]

@@ -17,7 +17,7 @@ determinant alone overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,22 +28,32 @@ from .errors import ConfigError
 _ISOTROPY_TOL = 1e-12
 
 
+def _check(dec):
+    """Raise :class:`ConfigError` unless ``dec``'s fields are finite, its ratio > 0."""
+    names = [f.name for f in fields(dec)]
+    scale, ratio, angle = map(dec.__getattribute__, names)
+    if not (math.isfinite(scale) and 0 < ratio < math.inf and math.isfinite(angle)):
+        raise ConfigError(f"{dec} needs finite fields and a positive {names[1]}")
+
+
 @dataclass(frozen=True)
 class CovDecomposition:
-    """(area, squeezing, angle) of a covariance matrix."""
+    """(area, squeezing, angle) of a covariance matrix; see ``_check``."""
 
     A: float
     aleph: float
     theta: float
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
 class DiffDecomposition:
-    """(intensity, anisotropy, angle) of a scaled diffusion matrix."""
+    """(intensity, anisotropy, angle) of a scaled diffusion matrix; see ``_check``."""
 
     Delta: float
     d: float
     phi: float
+    __post_init__ = _check
 
 
 def _decompose(m, s, det, hbar):
@@ -66,16 +76,12 @@ def _decompose(m, s, det, hbar):
 
 
 def _compose(scale, ratio, angle, hbar):
-    if not ratio > 0:
-        raise ConfigError(f"squeezing or anisotropy {ratio} is not positive")
     c, s = math.cos(angle), math.sin(angle)
     o = np.array([[c, -s], [s, c]])
-    try:  # a Python float's ratio ** 2 raises past the float range
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = (hbar * scale / 2.0) * (o.T @ np.diag([ratio ** 2, ratio ** -2]) @ o)
-    except OverflowError:
-        m = None
-    if m is None or not np.isfinite(m).all():
+    ratio = np.float64(ratio)  # squared past the float range: inf, not OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (hbar * scale / 2.0) * (o.T @ np.diag([ratio ** 2, ratio ** -2]) @ o)
+    if not np.isfinite(m).all():
         raise ConfigError(f"scale {scale}, squeezing or anisotropy {ratio} and "
                           f"angle {angle} compose to a matrix that is not finite")
     return m

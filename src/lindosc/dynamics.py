@@ -197,8 +197,8 @@ def evolve(state, params, t_final, dt, sample_every=1):
     step whose covariance lost positive definiteness or whose state is no
     longer finite.
     """
-    if not t_final >= 0:
-        raise ValueError("t_final must be nonnegative")
+    if not 0 <= t_final < np.inf:
+        raise ValueError("t_final must be nonnegative and finite")
     if not dt > 0:
         raise ValueError("dt must be positive")
     if sample_every < 1:

@@ -45,20 +45,6 @@ def _area(sigma, hbar):
     return unit, s, 2.0 * np.sqrt(det) / hbar, det
 
 
-def _inv2(unit, s, det):
-    """Inverse of ``unit * s`` from :func:`_area`'s ``unit``, ``s`` and
-    ``det``; raises :class:`NotSPD` where it is numerically singular."""
-    t = unit.T
-    # At least 1: the largest |entry| of a symmetric unit is on this list.
-    scale = np.maximum(np.maximum(abs(t[0, 0]), abs(t[1, 1])), abs(t[1, 0]))
-    singular = abs(det) < 1e-15 * scale * scale
-    if np.any(singular):
-        i = np.argmax(singular)
-        bad = np.reshape(unit, (-1, 2, 2))[i] * np.ravel(s)[i]
-        raise NotSPD(f"covariance matrix {bad.tolist()} is numerically singular")
-    return (_mat2.inv(unit, det).T / s).T
-
-
 def area(sigma, hbar):
     """Phase-space area A = (2/hbar) sqrt(det sigma); 1 for pure states, and
     inf past the float range."""
@@ -82,7 +68,7 @@ def initial_rate(sigma0, diffusion, lam, hbar):
     It is the rate for every drift matrix with trace ``-2 * lam``; the
     oscillatory and mixing parts of the drift are traceless and drop out.
     """
-    return report(sigma0, -lam * np.eye(2), diffusion, hbar).entropy_rate
+    return report(sigma0, np.diag([-lam, -lam]), diffusion, hbar).entropy_rate
 
 
 def report(sigma, drift, diffusion, hbar):
@@ -90,20 +76,21 @@ def report(sigma, drift, diffusion, hbar):
     ``(n, 2, 2)``, in one pass.
 
     Raises :class:`~lindosc.errors.NotSPD` for the first matrix that is not
-    finite, symmetric and positive definite, or is numerically singular, and
-    for a diffusion that is not a finite 2x2 matrix (a singular one is
-    valid).  A diagnostic past the float range comes out inf or nan, without
-    a warning.
+    finite, symmetric and positive definite, and for a drift or diffusion
+    that is not a finite 2x2 matrix (a singular diffusion is valid).  A
+    diagnostic past the float range comes out inf or nan, without a warning.
     """
-    diffusion = np.asarray(diffusion, dtype=float)
-    if diffusion.shape != (2, 2) or not np.isfinite(diffusion).all():
-        raise NotSPD(f"diffusion matrix {diffusion.tolist()} is not a finite 2x2 matrix")
+    drift, diffusion = np.asarray(drift, dtype=float), np.asarray(diffusion, dtype=float)
+    for name, m in (("drift", drift), ("diffusion", diffusion)):
+        if m.shape != (2, 2) or not np.isfinite(m).all():
+            raise NotSPD(f"{name} matrix {m.tolist()} is not a finite 2x2 matrix")
     unit, s, a, det = _area(np.asarray(sigma, dtype=float), hbar)
-    inv = _inv2(unit, s, det).T
     with np.errstate(over="ignore", invalid="ignore"):
-        # tr(diffusion @ inv), summed as the diagonal of the product.
+        # tr(diffusion @ inv(sigma)) as the diagonal of the product with
+        # inv(unit) = s * inv(sigma), then / s: only the sum can overflow.
+        inv = _mat2.inv(unit, det).T
         tr_d_inv = ((diffusion[0, 0] * inv[0, 0] + diffusion[0, 1] * inv[0, 1])
-                    + (diffusion[1, 0] * inv[1, 0] + diffusion[1, 1] * inv[1, 1]))
+                    + (diffusion[1, 0] * inv[1, 0] + diffusion[1, 1] * inv[1, 1])) / s
         # dA/dt and ds/dt = (dA/dt) / A**2 in units of s, where A**2 cannot
         # overflow for hbar near 1: both are the unscaled formulas times a
         # power of two.

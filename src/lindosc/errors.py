@@ -12,16 +12,16 @@ class LindoscError(Exception):
 
 
 class ConfigError(LindoscError):
-    """Malformed configuration, a model constant that is not finite (or not
-    positive where it must be), a matrix composed past the float range, a
-    search range that does not bracket the optimum, or a quadrature box too
-    narrow for the Gaussian's mass."""
+    """Malformed configuration; a value type (``ModelParams``, the two
+    decompositions, ``QuadratureSpec``) with a field out of range; a matrix
+    composed past the float range; a sieve grid that is empty or does not
+    bracket the optimum; or a quadrature box too narrow for the Gaussian."""
 
 
 class NotSPD(LindoscError):
     """Covariance or diffusion matrix that is not finite, symmetric and
-    positive definite, or is numerically singular.  A diffusion matrix of
-    this kind has no anisotropy."""
+    positive definite (such a diffusion has no anisotropy), or a drift or
+    diffusion given to the entropy rates that is not a finite 2x2 matrix."""
     exit_code = 2
 
 

@@ -86,9 +86,10 @@ def analytic_minimizer(area, lam, diff):
 
 def _default_grids(diff, n_aleph, n_theta, aleph_range):
     lo, hi = aleph_range
-    if not lo < diff.d < hi and not (lo == hi == diff.d):
-        raise ConfigError(
-            f"aleph range {aleph_range} does not bracket the anisotropy {diff.d}")
+    if not (n_aleph >= 1 and n_theta >= 1 and lo > 0
+            and (lo < diff.d < hi or lo == hi == diff.d)):
+        raise ConfigError(f"aleph range {aleph_range} over {n_aleph} x {n_theta} cells is "
+                          f"empty, not above 0 or not bracketing the anisotropy {diff.d}")
     alephs = np.geomspace(lo, hi, n_aleph)
     thetas = np.linspace(0.0, math.pi, n_theta, endpoint=False)
     return alephs, thetas

@@ -25,10 +25,15 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor-product trapezoid grid: half-width in standard deviations."""
+    """Tensor-product trapezoid grid: a positive, finite half-width in standard
+    deviations and at least 2 points per axis, else :class:`ConfigError`."""
 
     n_sigma: float = 8.0
     n_points: int = 401
+
+    def __post_init__(self):
+        if not (0 < self.n_sigma < math.inf and 2 <= self.n_points < math.inf):
+            raise ConfigError(f"{self} needs a finite n_sigma > 0 and n_points >= 2")
 
 
 def _density(sigma):
@@ -41,7 +46,8 @@ def _density(sigma):
     covariance whose determinant overflows keeps a finite density.
     """
     unit, s, det = _mat2.check_spd(sigma, "covariance")
-    return _mat2.inv(unit, det * s), np.sqrt((2.0 * math.pi) ** 2 * det) * s
+    with np.errstate(over="ignore"):  # an inverse past the float range is inf
+        return (_mat2.inv(unit, det).T / s).T, np.sqrt((2.0 * math.pi) ** 2 * det) * s
 
 
 def _gaussian(inv, norm, dx1, dx2, out=None):

@@ -327,7 +327,7 @@ def test_unknown_command_is_usage_error():
     assert main(["frobnicate", "--config", "x.json"]) == 1
 
 
-@pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner"])
+@pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner", "validate"])
 def test_indefinite_state_is_physics_error(tmp_path, capsys, command):
     config = evolve_config(tmp_path)
     config["state"]["sigma"] = {"S11": 1.0, "S12": 2.0, "S22": 1.0}
@@ -350,7 +350,7 @@ def test_runs_as_a_module():
     assert out.stdout.strip() == __version__
 
 
-@pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner"])
+@pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner", "validate"])
 def test_sub_heisenberg_state_is_physics_error(tmp_path, capsys, command):
     # Area 0.2 with hbar = 1: below the pure-state bound det(sigma) >= 1/4.
     config = evolve_config(tmp_path)
@@ -371,7 +371,7 @@ def test_sub_heisenberg_state_is_physics_error(tmp_path, capsys, command):
     ("sigma", {"S11": math.inf, "S12": 0.0, "S22": 1.0}),
     ("mean", [math.nan, 0.0]),
 ], ids=["nan_S12", "inf_S11", "nan_mean"])
-@pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner"])
+@pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner", "validate"])
 def test_non_finite_state_is_physics_error(tmp_path, capsys, command, key, value):
     config = evolve_config(tmp_path)
     config["state"][key] = value
@@ -608,3 +608,19 @@ def test_sizes_past_the_bound_are_rejected_at_load(tmp_path, section, key, value
     config[section][key] = value
     with pytest.raises(ConfigError, match="past the bound"):
         _check_config(config)
+
+
+@pytest.mark.parametrize("command", ["validate", "evolve", "sieve", "sweep", "wigner"])
+def test_each_run_builds_the_state_once_at_load(tmp_path, monkeypatch, command):
+    example = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
+    built = []
+    check = GaussianState.__post_init__
+    monkeypatch.setattr(GaussianState, "__post_init__",
+                        lambda self: built.append(check(self)))
+    argv = [command, "--config", str(example)]
+    for key in ("validate.report_json", "evolve.trajectory_csv", "evolve.summary_json",
+                "sieve.summary_json", "sweep.landscape_csv", "wigner.grid_csv",
+                "wigner.sidecar_json"):
+        argv += ["--set", f"{key}={tmp_path / key}"]
+    assert main(argv) == 0
+    assert len(built) == 1

@@ -97,7 +97,8 @@ class TestEvolve:
 
     @pytest.mark.parametrize("t_final, dt, sample_every",
                              [(1.0, 0.0, 1), (1.0, -1e-3, 1),
-                              (-1.0, 1e-3, 1), (1.0, 1e-3, 0)])
+                              (-1.0, 1e-3, 1), (1.0, 1e-3, 0),
+                              (math.inf, 1e-3, 1)])
     def test_bad_arguments_raise_value_error(self, t_final, dt, sample_every):
         state = GaussianState(mean=[0.0, 0.0], sigma=iso(1.0))
         with pytest.raises(ValueError):

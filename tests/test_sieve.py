@@ -112,6 +112,21 @@ class TestGridSearch:
         with pytest.raises(ConfigError):
             grid_search(1.0, 0.2, diff(d=3.0), 51, 51, (0.5, 2.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda: grid_search(1.0, 0.2, diff(), 0, 361, (0.5, 8.0)),
+        lambda: grid_search(1.0, 0.2, diff(), 401, 0, (0.5, 8.0)),
+        lambda: rate_landscape(1.0, 0.2, diff(), 3, 0, (0.5, 8.0)),
+        lambda: rate_landscape(1.0, 0.2, diff(), 0, 3, (0.5, 8.0)),
+        lambda: run_sieve(1.0, 0.2, diff(), 401, 361, (-1.0, 8.0)),
+        lambda: run_sieve(1.0, 0.2, diff(), 401, 361, (0.0, 8.0)),
+        lambda: run_sieve(1.0, 0.2, diff(phi=math.nan)),
+    ], ids=["no_aleph", "no_theta", "landscape_no_theta", "landscape_no_aleph",
+            "negative_aleph", "zero_aleph", "nan_phi"])
+    def test_empty_grid_or_bad_diffusion_is_config_error(self, call):
+        with pytest.raises(ConfigError):
+            call()
+
 
 class TestRateLandscape:
     def test_ordering_and_shape(self):

@@ -1,18 +1,22 @@
 """One rule for an acceptable covariance or diffusion matrix: every entry
-point that takes a 2x2 matrix rejects the same bad matrices with NotSPD."""
+point that takes a 2x2 matrix rejects the same bad matrices with NotSPD, and
+takes every covariance GaussianState accepts.  Each value type checks its
+own fields at construction."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from lindosc import (DiffDecomposition, GaussianState, ModelParams,
-                     QuadratureSpec, area, decompose, decompose_diffusion,
-                     evolve, initial_rate, linear_entropy, wigner_eval,
-                     wigner_grid)
+from lindosc import (CovDecomposition, DiffDecomposition, GaussianState,
+                     ModelParams, QuadratureSpec, area, build_scaled_diffusion,
+                     decompose, decompose_diffusion, evolve, initial_rate,
+                     linear_entropy, wigner_eval, wigner_grid)
 from lindosc._mat2 import check_spd
 from lindosc.entropy import report
-from lindosc.errors import NotSPD
+from lindosc.errors import ConfigError, NotSPD, UnphysicalState
 
 HBAR = 1.0
 GOOD = 0.5 * HBAR * np.eye(2)
@@ -73,14 +77,25 @@ def test_a_state_has_one_2x2_covariance(sigma):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("diffusion", [
-    [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]], np.eye(3)],
-    ids=["nan", "inf", "3x3"])
-def test_rates_reject_a_diffusion_that_is_not_a_finite_2x2_matrix(diffusion):
+@pytest.mark.parametrize("diffusion, drift, lam", [
+    ([[np.nan, 0.0], [0.0, 1.0]], DRIFT, 0.3),
+    ([[1.0, np.inf], [np.inf, 1.0]], DRIFT, 0.3),
+    (np.eye(3), DRIFT, 0.3),
+    # initial_rate has no drift argument: its drift is -lam * I.
+    (GOOD, [[np.nan, 1.0], [-1.0, -0.3]], None),
+    (GOOD, [[-0.3, -np.inf], [-1.0, -0.3]], None),
+    (GOOD, -0.3 * np.eye(3), None),
+    (GOOD, [[np.nan, 0.0], [0.0, np.nan]], np.nan),
+    (GOOD, [[-np.inf, 0.0], [0.0, -np.inf]], np.inf),
+], ids=["nan", "inf", "3x3", "nan_drift", "inf_drift", "3x3_drift", "nan_lam",
+        "inf_lam"])
+def test_rates_reject_a_diffusion_that_is_not_a_finite_2x2_matrix(diffusion, drift,
+                                                                  lam):
+    if lam is not None:
+        with pytest.raises(NotSPD):
+            initial_rate(GOOD, diffusion, lam, HBAR)
     with pytest.raises(NotSPD):
-        initial_rate(GOOD, diffusion, 0.3, HBAR)
-    with pytest.raises(NotSPD):
-        report(GOOD, DRIFT, diffusion, HBAR)
+        report(GOOD, drift, diffusion, HBAR)
 
 
 @pytest.mark.filterwarnings("error")
@@ -124,3 +139,104 @@ def test_decompose_diffusion_past_the_determinant_range():
     # det = 1e400 overflows; Delta = 2 sqrt(det) / hbar does not.
     assert decompose_diffusion(1e200 * np.eye(2), HBAR) == \
         DiffDecomposition(2e200, 1.0, 0.0)
+
+
+@st.composite
+def accepted_covariances(draw):
+    """``(sigma, evolve_too, wigner_too)``: sigma = 2**e R diag(1, 10**-k) R^T,
+    squeezed by up to 330 decades, rotated and rescaled, and which legs of
+    the property below it takes.
+
+    One RK4 step at omega dt = 1e-3 is off by ~3e-16 of the largest
+    eigenvalue, which past 12 decades of squeezing can exceed the smallest
+    and fail the step; and where the inverse covariance passes the float
+    range, the density is nan off the covariance's axes.  Those two legs
+    skip such states.
+    """
+    k = draw(st.floats(0.0, 330.0))
+    e = draw(st.integers(-1000, 1000))
+    theta = draw(st.floats(0.0, math.pi))
+    c, s = math.cos(theta), math.sin(theta)
+    small = 10.0 ** -k
+    with np.errstate(under="ignore"):
+        m = np.array([[c * c + s * s * small, c * s * (1.0 - small)],
+                      [c * s * (1.0 - small), s * s + c * c * small]])
+        sigma = np.ldexp(m, e)
+    return sigma, k <= 12.0, e * math.log10(2.0) - k >= -307.0
+
+
+def finite_or_inf(*values):
+    for value in values:
+        assert not np.isnan(value).any() and (np.asarray(value) > -np.inf).all()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(accepted_covariances())
+@example((np.diag([1e8, 1e-8]), True, True))
+@example((np.diag([1.0, 1e-320]), True, True))
+def test_every_accepted_covariance_has_diagnostics(drawn):
+    # What GaussianState accepts, the diagnostics take: each comes out
+    # finite or inf, with no NotSPD and no warning.
+    sigma, evolve_too, wigner_too = drawn
+    try:
+        state = GaussianState(mean=[0.0, 0.0], sigma=sigma)
+    except NotSPD:
+        reject()
+    rep = report(state.sigma, DRIFT, build_scaled_diffusion(PARAMS), HBAR)
+    finite_or_inf(rep.area, rep.lin_entropy, rep.area_rate, rep.entropy_rate)
+    if evolve_too:
+        traj = evolve(state, PARAMS, 1e-3, 1e-3)
+        assert len(traj) == 2
+        finite_or_inf(traj.sigma, traj.area, traj.lin_entropy, traj.entropy_rate)
+    if wigner_too:
+        # One standard deviation off the mean along each axis; for
+        # diag(1, 1e-320), whose inverse is past the float range, this is 0.
+        finite_or_inf(wigner_eval(state, state.mean + np.sqrt(np.diag(state.sigma))))
+
+
+EDGES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": 0.0,
+         "negative": -1.0}
+#: The edges that a field which must be finite, or positive and finite, takes.
+_FINITE, _POSITIVE = ("zero", "negative"), ()
+_MODEL = dict(m=1.0, omega=1.0, mu=0.0, hbar=1.0, D_qq=0.4, D_pp=0.4, D_pq=0.0,
+              lam=0.3)
+
+#: Each value type's fields: how to build it with one field set, the edges
+#: that field takes, and the error for the others.
+VALUE_FIELDS = {
+    "CovDecomposition.A": (lambda v: CovDecomposition(v, 2.0, 0.3), _FINITE, ConfigError),
+    "CovDecomposition.aleph": (lambda v: CovDecomposition(1.0, v, 0.3), _POSITIVE,
+                               ConfigError),
+    "CovDecomposition.theta": (lambda v: CovDecomposition(1.0, 2.0, v), _FINITE,
+                               ConfigError),
+    "DiffDecomposition.Delta": (lambda v: DiffDecomposition(v, 2.0, 0.3), _FINITE,
+                                ConfigError),
+    "DiffDecomposition.d": (lambda v: DiffDecomposition(1.0, v, 0.3), _POSITIVE,
+                            ConfigError),
+    "DiffDecomposition.phi": (lambda v: DiffDecomposition(1.0, 2.0, v), _FINITE,
+                              ConfigError),
+    "QuadratureSpec.n_sigma": (lambda v: QuadratureSpec(v, 11), _POSITIVE, ConfigError),
+    "QuadratureSpec.n_points": (lambda v: QuadratureSpec(8.0, v), _POSITIVE, ConfigError),
+    **{f"ModelParams.{name}": (
+        lambda v, name=name: ModelParams(**{**_MODEL, name: v}),
+        _POSITIVE if name in ("m", "omega", "hbar") else _FINITE, ConfigError)
+       for name in _MODEL},
+    "GaussianState.mean": (lambda v: GaussianState(mean=[0.0, v], sigma=GOOD), _FINITE,
+                           UnphysicalState),
+    "GaussianState.sigma": (lambda v: GaussianState(mean=[0.0, 0.0],
+                                                    sigma=np.diag([1.0, v])),
+                            _POSITIVE, NotSPD),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edge", EDGES)
+@pytest.mark.parametrize("field", VALUE_FIELDS)
+def test_each_value_type_checks_its_fields(field, edge):
+    build, accepted, error = VALUE_FIELDS[field]
+    if edge in accepted:
+        build(EDGES[edge])
+    else:
+        with pytest.raises(error):
+            build(EDGES[edge])
