@@ -1,14 +1,15 @@
 """Closed-form algebra on 2x2 matrices, shared by every layer.
 
 Covariances and diffusion matrices are 2x2, so their determinants, inverses
-and eigenvalues are written out once here, with :func:`check_spd`, the one
-test of whether such a matrix is acceptable.  Other tolerances stay with
-their callers.  :func:`det`, :func:`check_spd`, :func:`inv` and
-:func:`normalize` also take a stack of shape ``(n, 2, 2)``: they index the
-transpose, which puts the 2x2 indices first, so one expression serves a
-single matrix at scalar speed and a stack at array speed, with the same
-rounding.  The module is private: the benchmark's tracer wraps the public
-functions of the layer modules, and these run once per matrix.
+and eigenvalues are written out once here, with :func:`spd`, the one test of
+whether such a matrix is acceptable (entry points raise through
+:func:`check_spd`; the time-stepper tests each block of steps).  Other
+tolerances stay with their callers.  All but :func:`spectrum` and
+:func:`hurwitz` also take a stack ``(n, 2, 2)``, or a strided view of one:
+they index the transpose, which puts the 2x2 indices first, so one
+expression serves a matrix at scalar speed and a stack at array speed, with
+the same rounding.  The module is private: the benchmark's tracer wraps the
+public functions of the layer modules, and these run once per matrix.
 """
 
 from __future__ import annotations
@@ -29,25 +30,27 @@ def det(m):
 _SYMMETRY_RTOL = 1e-9
 
 
-def check_spd(m, name="matrix"):
-    """Return ``(unit, s, det(unit))`` with ``(unit, s)`` from :func:`normalize`;
-    raise :class:`NotSPD` unless ``m`` is a 2x2 matrix or a stack of them
-    (its last two axes are ``(2, 2)``) and each is finite, symmetric
-    (|m01 - m10| at most 1e-9 of the largest |entry|) and positive definite
-    (``min(det, m11) > 0``), both tested on ``unit``.  This is the package's
-    one test of an acceptable covariance or diffusion matrix.  A NaN fails
-    it, and a determinant past the float range does not.
-    """
-    if np.shape(m)[-2:] != (2, 2):
-        raise NotSPD(f"{name} of shape {np.shape(m)} is not a 2x2 matrix")
-    if np.isfinite(m).all():
+def spd(m):
+    """``(ok, unit, s, det(unit))``, ``(unit, s)`` from :func:`normalize`: ``ok``
+    is whether ``m``, or each matrix of a stack, is finite, symmetric (|m01 -
+    m10| at most 1e-9 of the largest |entry|) and positive definite
+    (``min(det, m11) > 0``), both tested on ``unit``.  A NaN fails it, and a
+    determinant past the float range does not."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite m fails
         unit, s, top = normalize(m)
         t = unit.T
         d = det(unit)
-        ok = ((np.minimum(d, t[0, 0]) > 0)
+        ok = (np.isfinite(top) & (np.minimum(d, t[0, 0]) > 0)
               & (abs(t[0, 1] - t[1, 0]) <= _SYMMETRY_RTOL * top))
-    else:
-        ok = np.isfinite(m).all(axis=(-2, -1))
+    return ok, unit, s, d
+
+
+def check_spd(m, name="matrix"):
+    """``(unit, s, det(unit))`` of :func:`spd`; :class:`NotSPD` naming the first
+    matrix that fails it, or for a shape whose last two axes are not 2x2."""
+    if np.shape(m)[-2:] != (2, 2):
+        raise NotSPD(f"{name} of shape {np.shape(m)} is not a 2x2 matrix")
+    ok, unit, s, d = spd(m)
     if not ok.all():
         bad = np.reshape(m, (-1, 2, 2))[np.argmin(np.ravel(ok))]
         raise NotSPD(f"{name} {bad.tolist()} is not finite, symmetric and "
@@ -77,10 +80,11 @@ def normalize(m):
     wherever both are normal floats, and the determinant cannot overflow.
     ``s`` itself is finite for every finite ``m``.
     """
-    t = abs(m.T)
+    # order="C": each pass runs along the stack, fast on a strided view too.
+    t = np.abs(m.T, order="C")
     top = np.maximum(np.maximum(t[0, 0], t[1, 1]), np.maximum(t[0, 1], t[1, 0]))
     s = np.ldexp(0.5, np.frexp(top)[1])
-    return (m.T / s).T, s, top / s
+    return np.divide(m.T, s, order="C").T, s, top / s
 
 
 def spectrum(m):

@@ -167,11 +167,10 @@ def _state(spec, hbar):
         s = spec["sigma"]
         sigma = [[s["S11"], s["S12"]], [s["S12"], s["S22"]]]
     state = dynamics.GaussianState(mean=spec["mean"], sigma=sigma)
-    area = entropy.area(state.sigma, hbar)
+    area = entropy._physical_area(state.sigma, hbar)
     if area == math.inf:
         raise ConfigError(f"the state's covariance {state.sigma.tolist()} has an area "
                           "past the float range")
-    entropy.linear_entropy(state.sigma, hbar)  # raises UnphysicalState below area 1
     return state, area
 
 
@@ -232,9 +231,7 @@ def _section(cfg, name):
 
 
 def _emit(obj, path=None):
-    obj = dict(obj)
-    obj["version"] = __version__
-    text = serialize.dumps(obj)
+    text = serialize.dumps({**obj, "version": __version__})
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -280,17 +277,14 @@ def cmd_evolve(cfg):
         "final_area": traj.area[-1],
         "final_lin_entropy": traj.lin_entropy[-1],
         "final_entropy_rate": traj.entropy_rate[-1],
-        "final_sigma": [[traj.sigma[-1, 0, 0], traj.sigma[-1, 0, 1]],
-                        [traj.sigma[-1, 1, 0], traj.sigma[-1, 1, 1]]],
+        "final_sigma": traj.sigma[-1].tolist(),
         "heisenberg_slack": slack,
     }
     if report.hurwitz:
         with _in_float_range():
             stat = dynamics.stationary_covariance(traj.drift, traj.diffusion)
-            summary["stationary_sigma"] = [[stat[0, 0], stat[0, 1]],
-                                           [stat[1, 0], stat[1, 1]]]
-            summary["stationary_distance"] = float(
-                np.linalg.norm(traj.sigma[-1] - stat))
+            summary["stationary_sigma"] = stat.tolist()
+            summary["stationary_distance"] = float(np.linalg.norm(traj.sigma[-1] - stat))
     _emit(summary, spec["summary_json"])
     return 0
 

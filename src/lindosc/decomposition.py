@@ -23,8 +23,9 @@ import numpy as np
 
 from . import _mat2
 from .errors import ConfigError
+from .model import _positive
 
-#: Below this excess of aleph**2 over 1 the rotation angle is meaningless.
+#: Below this excess over 1 of aleph**2 or d**2 (taken >= 1) the angle is meaningless.
 _ISOTROPY_TOL = 1e-12
 
 
@@ -72,7 +73,7 @@ def _decompose(m, s, det, hbar):
         ratio2, angle = 1.0, 0.0
     else:
         angle = 0.5 * math.atan2(-2.0 * m[0, 1], m[0, 0] - m[1, 1]) % math.pi
-    return 2.0 * sqrt_det / hbar * float(s), math.sqrt(ratio2), angle
+    return 2.0 * sqrt_det / _positive(hbar) * float(s), math.sqrt(ratio2), angle
 
 
 def _compose(scale, ratio, angle, hbar):
@@ -80,7 +81,8 @@ def _compose(scale, ratio, angle, hbar):
     o = np.array([[c, -s], [s, c]])
     ratio = np.float64(ratio)  # squared past the float range: inf, not OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
-        m = (hbar * scale / 2.0) * (o.T @ np.diag([ratio ** 2, ratio ** -2]) @ o)
+        m = ((_positive(hbar) * scale / 2.0)
+             * (o.T @ np.diag([ratio ** 2, ratio ** -2]) @ o))
     if not np.isfinite(m).all():
         raise ConfigError(f"scale {scale}, squeezing or anisotropy {ratio} and "
                           f"angle {angle} compose to a matrix that is not finite")

@@ -12,9 +12,9 @@ The joint system on z = (x1, x2, S11, S12, S22) is linear with constant
 coefficients, so one RK4 step is the affine map z -> z + (M z + q), with M
 and q built once per run from the 5x5 generator (Van Loan, "Computing
 integrals involving the matrix exponential", IEEE TAC 23, 1978).  Steps are
-written into a fixed block of rows, and each block is checked at once for
-lost positive definiteness and for overflow.  The entropy diagnostics of all
-samples are then computed in one call over the sample stack.
+written into a fixed block of rows, each block is checked at once by
+:func:`_mat2.spd`, the package's one test of a covariance, and the entropy
+diagnostics of all samples are computed in one call over the sample stack.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from . import _mat2
 from . import entropy as _entropy
 from . import model as _model
 from .errors import NotSPD, NotStable, PositivityLost, UnphysicalState
-
-#: Relative (to trace) tolerance on the smallest covariance eigenvalue.
-_PD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ def heisenberg_slack(sigma, hbar):
     """
     unit, s, _ = _mat2.normalize(np.asarray(sigma, dtype=float))
     with np.errstate(over="ignore"):
-        return s * (s * _mat2.det(unit)) - hbar * hbar / 4.0
+        return s * (s * _mat2.det(unit)) - hbar * _model._positive(hbar) / 4.0
 
 
 def _sigma_generator(drift):
@@ -161,25 +158,12 @@ def _step(z, mt, q, block):
 
 
 def _first_failure(block):
-    """``(index, message)`` of the first row of ``block`` that is not finite or
-    whose covariance lost positive definiteness beyond tolerance, else None.
-
-    The smallest eigenvalue is :func:`_mat2.spectrum`'s formula over a stack
-    of packed rows.  ``_mat2`` keeps ``math.hypot``, whose last bit can differ
-    from ``np.hypot``'s, so that the decompositions built on it do not move.
-    """
-    with np.errstate(all="ignore"):
-        s11, s12, s22 = block[:, 2], block[:, 3], block[:, 4]
-        tr = s11 + s22
-        lam_min = 0.5 * (tr - np.hypot(s11 - s22, 2.0 * s12))
-        finite = np.isfinite(block).all(axis=1)
-        bad = ~finite | (lam_min <= -_PD_TOL * np.abs(tr))
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    if not finite[i]:
-        return i, "state is no longer finite"
-    return i, f"covariance lost positive definiteness (min eigenvalue {lam_min[i]})"
+    """Index of the first row of ``block`` that :class:`GaussianState` rejects,
+    its mean not finite or its covariance failing :func:`_mat2.spd`; else None.
+    Its covariances are a view of the packed columns, entry (i, j) column 2 + i + j."""
+    ok = np.isfinite(block[:, 0]) & np.isfinite(block[:, 1])
+    ok &= _mat2.spd(np.lib.stride_tricks.sliding_window_view(block[:, 2:], 2, axis=1))[0]
+    return None if ok.all() else int(np.argmin(ok))
 
 
 #: Steps held at once between positivity checks; memory stays flat for any
@@ -194,8 +178,8 @@ def evolve(state, params, t_final, dt, sample_every=1):
     recorded times are uniformly spaced by ``sample_every * dt``.
     :class:`GaussianState` checks the initial state; every step is checked,
     and :class:`~lindosc.errors.PositivityLost` reports the time of the first
-    step whose covariance lost positive definiteness or whose state is no
-    longer finite.
+    step whose covariance fails :func:`_mat2.check_spd`'s test or whose mean
+    is not finite.
     """
     if not 0 <= t_final < np.inf:
         raise ValueError("t_final must be nonnegative and finite")
@@ -217,11 +201,14 @@ def evolve(state, params, t_final, dt, sample_every=1):
     while done < n_steps:
         rows = block[:min(_BLOCK, n_steps - done)]
         _step(z, mt, q, rows)
-        failure = _first_failure(rows)
-        if failure:
-            i, message = failure
+        i = _first_failure(rows)
+        if i is not None:
             t = (done + i + 1) * dt
-            raise PositivityLost(f"{message} at t = {t}", time=t)
+            mean, sigma = _unpack(rows[i:i + 1])
+            try:  # raises: the same test on the same row
+                GaussianState(mean=mean[0], sigma=sigma[0])
+            except (NotSPD, UnphysicalState) as exc:
+                raise PositivityLost(f"{exc} at t = {t}", time=t) from None
         # Row k holds step done + k + 1; keep the multiples of sample_every.
         picked = rows[(-done - 1) % sample_every::sample_every]
         samples[n_samples:n_samples + len(picked)] = picked
@@ -258,9 +245,7 @@ def stationary_covariance(drift, diffusion):
         raise NotStable(str(exc)) from exc
     sigma = np.array([[s11, s12], [s12, s22]])
 
-    residual = rhs_sigma(sigma, drift, diffusion)
-    rhs_norm = np.linalg.norm(2.0 * diffusion)
-    if not np.linalg.norm(residual) <= 1e-10 * max(rhs_norm, 1e-300):  # NaN fails
-        raise NotStable(
-            f"stationary solve residual {np.linalg.norm(residual)} too large")
+    residual = np.linalg.norm(rhs_sigma(sigma, drift, diffusion))
+    if not residual <= 1e-10 * max(np.linalg.norm(2.0 * diffusion), 1e-300):  # NaN fails
+        raise NotStable(f"stationary solve residual {residual} too large")
     return sigma

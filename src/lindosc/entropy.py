@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _mat2
 from .errors import NotSPD, UnphysicalState
+from .model import _positive
 
 #: Areas this far below 1 are treated as rounding noise on a pure state.
 _PURITY_TOL = 1e-9
@@ -35,14 +36,11 @@ class EntropyReport:
 
 def _area(sigma, hbar):
     """``(unit, s, A / s, det unit)`` for one covariance or a stack, where
-    ``(unit, s, det unit)`` is :func:`_mat2.check_spd` of ``sigma``.
-
-    A = 2 sqrt(det sigma) / hbar is formed in units of ``s`` because det sigma
-    overflows for entries past about 1.3e154 while A does not; the scaling is
-    exact, so in-range results are those of the unscaled formula.
-    """
+    ``(unit, s, det unit)`` is :func:`_mat2.check_spd` of ``sigma``.  A = 2
+    sqrt(det sigma) / hbar is formed in units of ``s``, exactly, because det
+    sigma overflows for entries past about 1.3e154 while A does not."""
     unit, s, det = _mat2.check_spd(sigma, "covariance")
-    return unit, s, 2.0 * np.sqrt(det) / hbar, det
+    return unit, s, 2.0 * np.sqrt(det) / _positive(hbar), det
 
 
 def area(sigma, hbar):
@@ -53,12 +51,17 @@ def area(sigma, hbar):
         return float(s * a)
 
 
-def linear_entropy(sigma, hbar):
-    """Linear entropy s = 1 - 1/A, clamped to [0, 1) near the pure point."""
+def _physical_area(sigma, hbar):
+    """:func:`area`; :class:`UnphysicalState` below the pure-state value 1."""
     a = area(sigma, hbar)
     if a < 1.0 - _PURITY_TOL:
         raise UnphysicalState(f"area {a} is below the pure-state value 1")
-    return max(1.0 - 1.0 / a, 0.0)
+    return a
+
+
+def linear_entropy(sigma, hbar):
+    """Linear entropy s = 1 - 1/A, clamped to [0, 1) near the pure point."""
+    return max(1.0 - 1.0 / _physical_area(sigma, hbar), 0.0)
 
 
 def initial_rate(sigma0, diffusion, lam, hbar):

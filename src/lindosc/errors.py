@@ -13,9 +13,10 @@ class LindoscError(Exception):
 
 class ConfigError(LindoscError):
     """Malformed configuration; a value type (``ModelParams``, the two
-    decompositions, ``QuadratureSpec``) with a field out of range; a matrix
-    composed past the float range; a sieve grid that is empty or does not
-    bracket the optimum; or a quadrature box too narrow for the Gaussian."""
+    decompositions, ``QuadratureSpec``) with a field out of range; an hbar
+    that is not positive and finite; a matrix composed past the float range;
+    a sieve grid that is empty or does not bracket the optimum; or a
+    quadrature box too narrow for the Gaussian."""
 
 
 class NotSPD(LindoscError):
@@ -37,8 +38,8 @@ class NotStable(LindoscError):
 
 
 class PositivityLost(LindoscError):
-    """Integrated covariance lost positive definiteness, or the state left
-    the float range."""
+    """A time step whose covariance fails ``_mat2.check_spd``'s test, or whose
+    mean left the float range."""
     exit_code = 3
 
     def __init__(self, message, time=None):

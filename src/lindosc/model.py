@@ -20,6 +20,13 @@ from .errors import ConfigError
 _VALIDATION_RTOL = 1e-10
 
 
+def _positive(value, what="hbar"):
+    """``value``; :class:`ConfigError` unless it is positive and finite."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{what} must be positive and finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class LindbladCouplings:
     """Two coupling pairs (a_j, b_j); a_j multiplies momentum, b_j position."""
@@ -53,9 +60,8 @@ class ModelParams:
 
     def __post_init__(self):
         for what, value in (("mass", self.m), ("frequency", self.omega),
-                            ("action scale", self.hbar)):
-            if not 0 < value < math.inf:
-                raise ConfigError(f"{what} must be positive and finite, got {value}")
+                            ("hbar", self.hbar)):
+            _positive(value, what)
         for name in ("mu", "D_qq", "D_pp", "D_pq", "lam"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .decomposition import _ISOTROPY_TOL
 from .errors import ConfigError
 
 
@@ -72,15 +73,17 @@ def rate_at(aleph, theta, area, lam, diff):
 def analytic_minimizer(area, lam, diff):
     """Closed-form minimizer of :func:`rate_at` over (aleph, theta).
 
-    The optimum matches the diffusion anisotropy: ``aleph = d`` and
-    ``theta = phi``.  For isotropic diffusion (d = 1) the angle is
-    degenerate and reported as 0 with a flag.
+    The optimum matches the diffusion anisotropy: ``aleph = d`` and ``theta =
+    phi``, or for d < 1 its aleph >= 1 representative (1/d, phi + pi/2 mod pi),
+    as in :func:`grid_search`.  For isotropic diffusion (aleph**2 - 1 below
+    decompose's tolerance) the angle is degenerate and reported as 0 with a flag.
     """
-    degenerate = diff.d - 1.0 < 1e-12
-    min_rate = 2.0 * (diff.Delta - area * lam) / area ** 2
-    return SieveResult(aleph_star=diff.d,
-                       theta_star=0.0 if degenerate else diff.phi,
-                       min_rate=min_rate,
+    aleph, theta = diff.d, diff.phi
+    if aleph < 1.0:
+        aleph, theta = 1.0 / aleph, (theta + math.pi / 2.0) % math.pi
+    degenerate = aleph * aleph - 1.0 < _ISOTROPY_TOL
+    return SieveResult(aleph_star=aleph, theta_star=0.0 if degenerate else theta,
+                       min_rate=2.0 * (diff.Delta - area * lam) / area ** 2,
                        degenerate_angle=bool(degenerate))
 
 

@@ -37,31 +37,33 @@ class QuadratureSpec:
 
 
 def _density(sigma):
-    """``(inv, norm)`` of the Gaussian with covariance ``sigma``, or of each
-    matrix of a stack ``(n, 2, 2)``: the inverse covariance and
-    ``2 pi sqrt(det sigma)``, after one SPD check per matrix.
+    """``(inv, shift, norm)`` of the Gaussian with covariance ``sigma``, or of
+    each matrix of a stack ``(n, 2, 2)``, after one SPD check per matrix: half
+    the inverse covariance, ``ldexp(inv, shift)``, and ``2 pi sqrt(det sigma)``.
 
-    Both are formed on ``sigma / s``, ``s`` a power of two, and scaled back,
-    which is exact: in-range results are those of the plain formulas, and a
-    covariance whose determinant overflows keeps a finite density.
-    """
+    ``inv`` is inv(sigma / s) times the power of two that takes det(sigma / s)
+    into [0.5, 1), so its entries are below 4.  The scalings are exact: in-range
+    results are the plain formulas', and the density stays finite where the
+    inverse covariance or det sigma passes the float range."""
     unit, s, det = _mat2.check_spd(sigma, "covariance")
-    with np.errstate(over="ignore"):  # an inverse past the float range is inf
-        return (_mat2.inv(unit, det).T / s).T, np.sqrt((2.0 * math.pi) ** 2 * det) * s
+    frac, exponent = np.frexp(det)
+    shift = -exponent - np.frexp(s)[1]  # 2 s = 2**frexp(s)[1]
+    return _mat2.inv(unit, frac), shift, np.sqrt((2.0 * math.pi) ** 2 * det) * s
 
 
-def _gaussian(inv, norm, dx1, dx2, out=None):
-    """``exp(-q / 2) / norm`` with ``q = dx^T inv dx``, elementwise over the
-    broadcast of ``dx1``, ``dx2`` and a stack of ``inv``; in ``out`` if given.
-
-    ``q`` is summed as ``(2 inv01 dx1) dx2 + inv00 dx1**2 + inv11 dx2**2``.
-    """
-    q = np.multiply(2.0 * inv[..., 0, 1] * dx1, dx2, out=out)
-    q += inv[..., 0, 0] * dx1 ** 2
-    q += inv[..., 1, 1] * dx2 ** 2
-    q *= -0.5
-    np.exp(q, out=q)
-    q /= norm
+def _gaussian(inv, shift, norm, dx1, dx2, out=None):
+    """``exp(-q / 2) / norm`` with ``q / 2 = dx^T ldexp(inv, shift) dx``, over
+    the broadcast of ``dx1``, ``dx2`` and a stack of ``inv``; in ``out`` if
+    given.  ``-q / 2`` is summed as ``(-2 inv01 dx1) dx2 - inv00 dx1**2 -
+    inv11 dx2**2``, then scaled by ``2**shift``: exactly, or to -inf (density
+    0) past the float range."""
+    q = np.multiply(-2.0 * inv[..., 0, 1] * dx1, dx2, out=out)
+    q -= inv[..., 0, 0] * dx1 ** 2
+    q -= inv[..., 1, 1] * dx2 ** 2
+    with np.errstate(over="ignore"):  # q or the density past the float range
+        np.ldexp(q, shift, out=q)
+        np.exp(q, out=q)
+        q /= norm
     return q
 
 
@@ -69,9 +71,9 @@ def wigner_eval(state, point):
     """Gaussian phase-space density of the state at one point ``(2,)``, as a
     float, or at each row of an ``(n, 2)`` array, as an array."""
     point = np.asarray(point, dtype=float)
-    inv, norm = _density(state.sigma)
+    inv, shift, norm = _density(state.sigma)
     dx = np.reshape(point, (-1, 2)) - state.mean
-    f = _gaussian(inv, norm, dx[:, 0], dx[:, 1])
+    f = _gaussian(inv, shift, norm, dx[:, 0], dx[:, 1])
     return float(f[0]) if point.ndim == 1 else f
 
 
@@ -82,14 +84,14 @@ def wigner_grid(state, spec):
     over x1).  The box half-width is ``spec.n_sigma`` times the largest
     standard deviation of the state.
     """
-    inv, norm = _density(state.sigma)
+    inv, shift, norm = _density(state.sigma)
     half = spec.n_sigma * math.sqrt(_mat2.spectrum(state.sigma)[2])
 
     x1 = state.mean[0] + np.linspace(-half, half, spec.n_points)
     x2 = state.mean[1] + np.linspace(-half, half, spec.n_points)
     dx1 = x1[:, None] - state.mean[0]
     dx2 = x2[None, :] - state.mean[1]
-    f = _gaussian(inv, norm, dx1, dx2, out=np.empty((len(x1), len(x2))))
+    f = _gaussian(inv, shift, norm, dx1, dx2, out=np.empty((len(x1), len(x2))))
     return x1, x2, f
 
 
@@ -132,10 +134,10 @@ def fp_residual(trajectory, point, t_index, h_x):
         raise IndexError(f"t_index {t_index} is not interior to the trajectory")
 
     window = slice(t_index - 1, t_index + 2)
-    inv, norm = _density(trajectory.sigma[window])
+    inv, shift, norm = _density(trajectory.sigma[window])
     points = np.asarray(point, dtype=float) + h_x * _STENCIL
     dx = points - trajectory.mean[window][_SAMPLE]
-    f = _gaussian(inv[_SAMPLE], norm[_SAMPLE], dx[:, 0], dx[:, 1])
+    f = _gaussian(inv[_SAMPLE], shift[_SAMPLE], norm[_SAMPLE], dx[:, 0], dx[:, 1])
 
     # The sums below are a few scalars each: Python floats beat numpy calls.
     f, x = f.tolist(), points.tolist()

@@ -19,6 +19,7 @@ from lindosc import (CovDecomposition, DiffDecomposition, GaussianState,
                      ModelParams, QuadratureSpec, __version__, area,
                      build_scaled_diffusion, compose, compose_diffusion,
                      decompose_diffusion, rate_landscape, wigner_grid)
+from lindosc import _mat2
 from lindosc.cli import _MAX_SIZE, _check_config, main
 from lindosc.errors import ConfigError
 
@@ -624,3 +625,27 @@ def test_each_run_builds_the_state_once_at_load(tmp_path, monkeypatch, command):
         argv += ["--set", f"{key}={tmp_path / key}"]
     assert main(argv) == 0
     assert len(built) == 1
+
+
+def test_load_checks_the_state_covariance_twice(monkeypatch):
+    # Once as GaussianState's covariance, once for its area.
+    example = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
+    checked = []
+    check = _mat2.check_spd
+    monkeypatch.setattr(_mat2, "check_spd",
+                        lambda m, name="matrix": checked.append(name) or check(m, name))
+    _check_config(json.loads(example.read_text()))
+    assert checked == ["covariance", "covariance"]
+
+
+def test_a_step_that_fails_check_spd_is_numerical_failure(tmp_path, capsys):
+    # One RK4 step of a state squeezed by 16 decades rounds past positive
+    # definiteness: PositivityLost at that step, not NotSPD afterwards.
+    config = evolve_config(tmp_path, t_final=1e-3, sample_every=1)
+    config["model"].update({"lambda": 0.3, "diffusion": {
+        "D_qq": 0.4, "D_pp": 0.4, "D_pq": 0.0}})
+    config["state"] = {"mean": [0.0, 0.0],
+                       "sigma": {"S11": 1.76e13, "S12": 0.0, "S22": 1.76e-3}}
+    assert main(["evolve", "--config", write_config(tmp_path, config)]) == 3
+    err = capsys.readouterr().err
+    assert err.endswith("at t = 0.001\n") and err.count("\n") == 1, err

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from lindosc import (CovDecomposition, DiffDecomposition, analytic_minimizer,
-                     compose, compose_diffusion, grid_search, initial_rate,
-                     rate_at, rate_landscape, run_sieve)
+                     compose, compose_diffusion, decompose_diffusion, grid_search,
+                     initial_rate, rate_at, rate_landscape, run_sieve)
 from lindosc import sieve
 from lindosc.errors import ConfigError
 
@@ -62,6 +62,25 @@ class TestAnalyticMinimizer:
         assert (res.aleph_star, res.theta_star) == (2.0, 0.3)
         assert res.min_rate == pytest.approx(1.0)
         assert not res.degenerate_angle
+
+    def test_isotropy_is_decided_as_in_decompose(self):
+        # ratio**2 = 1 + 1.5e-12 is past the isotropy tolerance 1e-12 of
+        # decompose, which keeps its angle; so does the minimizer.
+        dd = decompose_diffusion(compose_diffusion(
+            diff(d=math.sqrt(1.0 + 1.5e-12), phi=0.7), HBAR), HBAR)
+        assert 0.0 < dd.d - 1.0 < 1e-12
+        res = analytic_minimizer(1.0, 0.2, dd)
+        assert (res.aleph_star, res.theta_star) == (dd.d, dd.phi)
+        assert not res.degenerate_angle
+
+    def test_anisotropy_below_one_reports_aleph_above_one(self):
+        # (d, phi) and (1/d, phi + pi/2) are the same diffusion; both the
+        # minimizer and the grid report the aleph >= 1 representative.
+        res = run_sieve(1.0, 0.2, diff(d=0.5, phi=0.3), 401, 361, (0.1, 8.0))
+        assert (res.aleph_star, res.theta_star) == (2.0, 0.3 + math.pi / 2)
+        assert not res.degenerate_angle
+        assert res.grid_aleph == pytest.approx(2.0, rel=1e-9)
+        assert res.grid_theta == pytest.approx(res.theta_star, rel=1e-9)
 
     def test_saturated_bound_gives_zero_rate(self):
         res = analytic_minimizer(1.0, 0.8, diff(delta=0.8, d=1.3, phi=0.1))

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from lindosc import (CovDecomposition, DiffDecomposition, GaussianState,
                      ModelParams, QuadratureSpec, area, build_scaled_diffusion,
-                     decompose, decompose_diffusion, evolve, initial_rate,
-                     linear_entropy, wigner_eval, wigner_grid)
+                     compose, compose_diffusion, decompose, decompose_diffusion,
+                     evolve, heisenberg_slack, initial_rate, linear_entropy,
+                     wigner_eval, wigner_grid)
 from lindosc._mat2 import check_spd
+from lindosc.dynamics import _first_failure
 from lindosc.entropy import report
-from lindosc.errors import ConfigError, NotSPD, UnphysicalState
+from lindosc.errors import ConfigError, NotSPD, PositivityLost, UnphysicalState
 
 HBAR = 1.0
 GOOD = 0.5 * HBAR * np.eye(2)
@@ -143,16 +145,8 @@ def test_decompose_diffusion_past_the_determinant_range():
 
 @st.composite
 def accepted_covariances(draw):
-    """``(sigma, evolve_too, wigner_too)``: sigma = 2**e R diag(1, 10**-k) R^T,
-    squeezed by up to 330 decades, rotated and rescaled, and which legs of
-    the property below it takes.
-
-    One RK4 step at omega dt = 1e-3 is off by ~3e-16 of the largest
-    eigenvalue, which past 12 decades of squeezing can exceed the smallest
-    and fail the step; and where the inverse covariance passes the float
-    range, the density is nan off the covariance's axes.  Those two legs
-    skip such states.
-    """
+    """sigma = 2**e R diag(1, 10**-k) R^T: squeezed by up to 330 decades,
+    rotated and rescaled."""
     k = draw(st.floats(0.0, 330.0))
     e = draw(st.integers(-1000, 1000))
     theta = draw(st.floats(0.0, math.pi))
@@ -161,8 +155,7 @@ def accepted_covariances(draw):
     with np.errstate(under="ignore"):
         m = np.array([[c * c + s * s * small, c * s * (1.0 - small)],
                       [c * s * (1.0 - small), s * s + c * c * small]])
-        sigma = np.ldexp(m, e)
-    return sigma, k <= 12.0, e * math.log10(2.0) - k >= -307.0
+        return np.ldexp(m, e)
 
 
 def finite_or_inf(*values):
@@ -173,26 +166,64 @@ def finite_or_inf(*values):
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=300, deadline=None)
 @given(accepted_covariances())
-@example((np.diag([1e8, 1e-8]), True, True))
-@example((np.diag([1.0, 1e-320]), True, True))
-def test_every_accepted_covariance_has_diagnostics(drawn):
+@example(np.diag([1e8, 1e-8]))
+@example(np.diag([1.0, 1e-320]))
+@example(np.diag([1.76e13, 1.76e-3]))  # its first RK4 step fails check_spd
+def test_every_accepted_covariance_has_diagnostics(sigma):
     # What GaussianState accepts, the diagnostics take: each comes out
-    # finite or inf, with no NotSPD and no warning.
-    sigma, evolve_too, wigner_too = drawn
+    # finite or inf, with no NotSPD and no warning.  One RK4 step at
+    # omega dt = 1e-3 is off by ~3e-16 of the largest eigenvalue, which past
+    # ~12 decades of squeezing can exceed the smallest: evolve then stops at
+    # that step with PositivityLost, by the same test.
     try:
         state = GaussianState(mean=[0.0, 0.0], sigma=sigma)
     except NotSPD:
         reject()
     rep = report(state.sigma, DRIFT, build_scaled_diffusion(PARAMS), HBAR)
     finite_or_inf(rep.area, rep.lin_entropy, rep.area_rate, rep.entropy_rate)
-    if evolve_too:
+    try:
         traj = evolve(state, PARAMS, 1e-3, 1e-3)
+    except PositivityLost as exc:
+        assert exc.time == 1e-3
+    else:
         assert len(traj) == 2
         finite_or_inf(traj.sigma, traj.area, traj.lin_entropy, traj.entropy_rate)
-    if wigner_too:
-        # One standard deviation off the mean along each axis; for
-        # diag(1, 1e-320), whose inverse is past the float range, this is 0.
-        finite_or_inf(wigner_eval(state, state.mean + np.sqrt(np.diag(state.sigma))))
+    # At the mean, and one standard deviation off it along each axis, where
+    # the inverse covariance may pass the float range.
+    for point in (state.mean, state.mean + np.sqrt(np.diag(state.sigma))):
+        finite_or_inf(wigner_eval(state, point))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_block_the_stepper_passes_passes_check_spd_row_by_row():
+    # Packed rows (x1, x2, S11, S12, S22) about the boundary of positive
+    # definiteness, S12**2 = S11 S22 (1 +- 10**-k), over 1200 binades, with
+    # some entries not finite.  In each block, the rows before the stepper's
+    # first failure pass check_spd with a finite mean, and that row does not.
+    rng = np.random.default_rng(29)
+    n = 4000
+    s11, s22 = np.ldexp(rng.uniform(1.0, 2.0, (2, n)), rng.integers(-600, 600, (2, n)))
+    near = 1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** -rng.uniform(0.0, 17.0, n)
+    s12 = rng.choice([-1.0, 1.0], n) * np.sqrt(s11) * np.sqrt(s22) * np.sqrt(near)
+    rows = np.column_stack([rng.normal(size=(n, 2)), s11, s12, s22])
+    rows[rng.integers(0, n, 40), rng.integers(0, 5, 40)] = rng.choice(
+        [np.nan, np.inf, -np.inf], 40)
+
+    def passes(z):
+        try:
+            check_spd(np.array([[z[2], z[3]], [z[3], z[4]]]))
+        except NotSPD:
+            return False
+        return bool(np.isfinite(z[:2]).all())
+
+    failures = 0
+    for block in np.split(rows, n // 4):
+        first = _first_failure(block)
+        assert all(passes(z) for z in block[:first])
+        if first is not None:
+            failures += 1
+            assert not passes(block[first])
+    assert 0 < failures < n // 4
 
 
 EDGES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": 0.0,
@@ -240,3 +271,26 @@ def test_each_value_type_checks_its_fields(field, edge):
     else:
         with pytest.raises(error):
             build(EDGES[edge])
+
+
+#: Every function that takes hbar directly; each checks it where it enters.
+HBAR_TAKERS = {
+    "area": lambda h: area(GOOD, h),
+    "linear_entropy": lambda h: linear_entropy(GOOD, h),
+    "initial_rate": lambda h: initial_rate(GOOD, GOOD, 0.3, h),
+    "report": lambda h: report(GOOD, DRIFT, GOOD, h),
+    "heisenberg_slack": lambda h: heisenberg_slack(GOOD, h),
+    "decompose": lambda h: decompose(GOOD, h),
+    "decompose_diffusion": lambda h: decompose_diffusion(GOOD, h),
+    "compose": lambda h: compose(CovDecomposition(1.0, 2.0, 0.3), h),
+    "compose_diffusion": lambda h: compose_diffusion(DiffDecomposition(1.0, 2.0, 0.3), h),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edge", EDGES)
+@pytest.mark.parametrize("taker", HBAR_TAKERS)
+def test_hbar_that_is_not_positive_and_finite_is_config_error(taker, edge):
+    HBAR_TAKERS[taker](HBAR)
+    with pytest.raises(ConfigError, match="hbar must be positive and finite"):
+        HBAR_TAKERS[taker](EDGES[edge])

@@ -240,9 +240,10 @@ class TestAgainstScalarReference:
 
 class TestScaledDeterminant:
     def test_in_range_density_is_the_plain_formula(self):
-        # The determinant is taken on sigma divided by a power of two, which
-        # is exact: in range, the inverse and the norm are bit for bit those
-        # of the unscaled formulas, for a stack and for each matrix.
+        # The determinant is taken on sigma divided by a power of two, and
+        # the inverse is scaled by powers of two, which is exact: in range,
+        # the inverse scaled back and the norm are bit for bit those of the
+        # unscaled formulas, for a stack and for each matrix.
         rng = np.random.default_rng(21)
         sigma = np.array([state.sigma for state, _ in seeded_states(21, 40)])
         sigma *= 10.0 ** rng.uniform(-100.0, 100.0, 40)[:, None, None]
@@ -251,11 +252,13 @@ class TestScaledDeterminant:
                         [-sigma[:, 1, 0], sigma[:, 0, 0]]]).transpose(2, 0, 1)
         inv /= det[:, None, None]
         norm = np.sqrt((2.0 * math.pi) ** 2 * det)
-        got_inv, got_norm = wigner._density(sigma)
-        assert np.array_equal(got_inv, inv) and np.array_equal(got_norm, norm)
+        got_inv, shift, got_norm = wigner._density(sigma)
+        assert np.array_equal(np.ldexp(got_inv, shift[:, None, None] + 1), inv)
+        assert np.array_equal(got_norm, norm)
         for k in range(len(sigma)):
-            one_inv, one_norm = wigner._density(sigma[k])
-            assert np.array_equal(one_inv, inv[k]) and one_norm == norm[k]
+            one_inv, one_shift, one_norm = wigner._density(sigma[k])
+            assert np.array_equal(np.ldexp(one_inv, one_shift + 1), inv[k])
+            assert one_norm == norm[k]
 
     @pytest.mark.filterwarnings("error")
     def test_density_past_the_determinant_range(self):
