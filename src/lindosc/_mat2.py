@@ -8,7 +8,9 @@ tolerances stay with their callers.  All but :func:`spectrum` and
 :func:`hurwitz` also take a stack ``(n, 2, 2)``, or a strided view of one:
 they index the transpose, which puts the 2x2 indices first, so one
 expression serves a matrix at scalar speed and a stack at array speed, with
-the same rounding.  The module is private: the benchmark's tracer wraps the
+the same rounding.  :func:`mul`, the time-stepper's product of small
+matrices of any size, sums elementwise products in a fixed order instead of
+calling BLAS.  The module is private: the benchmark's tracer wraps the
 public functions of the layer modules, and these run once per matrix.
 """
 
@@ -85,6 +87,18 @@ def normalize(m):
     top = np.maximum(np.maximum(t[0, 0], t[1, 1]), np.maximum(t[0, 1], t[1, 0]))
     s = np.ldexp(0.5, np.frexp(top)[1])
     return np.divide(m.T, s, order="C").T, s, top / s
+
+
+def mul(a, b):
+    """Matrix product of ``a`` and ``b``, or of broadcast stacks of them, as
+    the sum over k = 0, 1, ... of ``a[..., :, k] * b[..., k, :]`` in that
+    order.  Each entry is a fixed sequence of rounded products and sums, so
+    the result is the same on every machine, where ``@`` rounds as the host's
+    BLAS kernel does (with or without fused multiply-adds, in its own order)."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
 
 
 def spectrum(m):

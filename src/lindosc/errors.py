@@ -14,9 +14,9 @@ class LindoscError(Exception):
 class ConfigError(LindoscError):
     """Malformed configuration; a value type (``ModelParams``, the two
     decompositions, ``QuadratureSpec``) with a field out of range; an hbar
-    that is not positive and finite; a matrix composed past the float range;
-    a sieve grid that is empty or does not bracket the optimum; or a
-    quadrature box too narrow for the Gaussian."""
+    that is not positive, finite and normal; a matrix composed past the
+    float range; a sieve grid that is empty or does not bracket the
+    optimum; or a quadrature box too narrow for the Gaussian."""
 
 
 class NotSPD(LindoscError):

@@ -20,10 +20,18 @@ from .errors import ConfigError
 _VALIDATION_RTOL = 1e-10
 
 
+#: The smallest positive normal float.  The area 2 sqrt(det sigma) / hbar,
+#: taken on sigma scaled to entries below 2, is below 4 / hbar: finite for
+#: every hbar from this one up, but not for every hbar below it.
+_TINY = float(np.finfo(float).tiny)
+
+
 def _positive(value, what="hbar"):
-    """``value``; :class:`ConfigError` unless it is positive and finite."""
-    if not 0 < value < math.inf:
-        raise ConfigError(f"{what} must be positive and finite, got {value}")
+    """``value``; :class:`ConfigError` unless it is finite and at least
+    :data:`_TINY`, that is positive, finite and not subnormal."""
+    if not _TINY <= value < math.inf:
+        raise ConfigError(f"{what} must be positive and finite, at least {_TINY}, "
+                          f"got {value}")
     return value
 
 

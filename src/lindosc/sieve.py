@@ -88,11 +88,14 @@ def analytic_minimizer(area, lam, diff):
 
 
 def _default_grids(diff, n_aleph, n_theta, aleph_range):
+    """The aleph and theta axes of the sieve grid.  The range must bracket d
+    or 1/d: (d, phi) and (1/d, phi + pi/2) are the same optimum."""
     lo, hi = aleph_range
     if not (n_aleph >= 1 and n_theta >= 1 and lo > 0
-            and (lo < diff.d < hi or lo == hi == diff.d)):
+            and any(lo < x < hi or lo == hi == x for x in (diff.d, 1.0 / diff.d))):
         raise ConfigError(f"aleph range {aleph_range} over {n_aleph} x {n_theta} cells is "
-                          f"empty, not above 0 or not bracketing the anisotropy {diff.d}")
+                          f"empty, not above 0 or bracketing neither the anisotropy "
+                          f"{diff.d} nor its inverse")
     alephs = np.geomspace(lo, hi, n_aleph)
     thetas = np.linspace(0.0, math.pi, n_theta, endpoint=False)
     return alephs, thetas

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -349,6 +350,28 @@ def test_runs_as_a_module():
                          env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0
     assert out.stdout.strip() == __version__
+
+
+def test_evolve_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernel at load from OPENBLAS_CORETYPE, set here in
+    # the child's environment only.  The stepping calls no BLAS, so the
+    # example's trajectory and summary come out the same under each kernel.
+    root = Path(__file__).resolve().parents[1]
+    digests = set()
+    for core in ("SkylakeX", "Haswell", "Sandybridge", "Prescott"):
+        out_dir = tmp_path / core
+        out_dir.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_CORETYPE=core)
+        argv = [sys.executable, "-m", "lindosc.cli", "evolve", "--config",
+                str(root / "demos" / "config_example.json"),
+                "--set", f"evolve.trajectory_csv={out_dir / 'trajectory.csv'}",
+                "--set", f"evolve.summary_json={out_dir / 'evolve_summary.json'}"]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        digests.add(tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                          for name in ("trajectory.csv", "evolve_summary.json")))
+    assert len(digests) == 1, digests
 
 
 @pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner", "validate"])

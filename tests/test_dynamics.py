@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lindosc import (CovDecomposition, GaussianState, ModelParams, build_drift,
-                     compose, entropy, evolve, heisenberg_slack, rhs_sigma,
-                     stationary_covariance)
+from lindosc import (CovDecomposition, GaussianState, ModelParams, _mat2,
+                     build_drift, compose, dynamics, entropy, evolve,
+                     heisenberg_slack, rhs_sigma, stationary_covariance)
 from lindosc.errors import NotStable, PositivityLost, UnphysicalState
 
 HBAR = 1.0
@@ -235,19 +235,34 @@ def reference_step(mean, sigma, drift, diffusion, dt):
     return mean, 0.5 * (sigma + sigma.T)
 
 
+def one_step_map(mean, sigma, drift, diffusion, dt):
+    """One step of the affine map z -> z + (z, 1) D_1 on z = (x1, x2, S11,
+    S12, S22): the stepper's one-step map, taken one row at a time."""
+    z = np.array([[*mean, sigma[0, 0], sigma[0, 1], sigma[1, 1], 1.0]])
+    z = z[0, :5] + _mat2.mul(z, dynamics._propagator(drift, diffusion, dt))[0]
+    return z[:2], np.array([[z[2], z[3]], [z[3], z[4]]])
+
+
 def reference_lost(sigma):
+    if not np.isfinite(sigma).all():
+        return True
     tr = sigma[0, 0] + sigma[1, 1]
     lam_min = 0.5 * (tr - math.hypot(sigma[0, 0] - sigma[1, 1], 2.0 * sigma[0, 1]))
     return lam_min <= -1e-10 * abs(tr)
 
 
-def reference_evolve(state, drift, diffusion, n_steps, dt, sample_every):
+def reference_evolve(state, drift, diffusion, n_steps, dt, sample_every,
+                     step=reference_step):
     """Sampled (means, sigmas), or the time of the first step that lost
-    positive definiteness."""
+    positive definiteness or finiteness."""
     mean, sigma = state.mean, state.sigma
     means, sigmas = [mean], [sigma]
+    # The one-step map is run past the float range; the hand-unrolled
+    # reference under tier-1's warnings-as-errors.
+    errors = dict(over="ignore", invalid="ignore") if step is one_step_map else {}
     for i in range(n_steps):
-        mean, sigma = reference_step(mean, sigma, drift, diffusion, dt)
+        with np.errstate(**errors):
+            mean, sigma = step(mean, sigma, drift, diffusion, dt)
         if reference_lost(sigma):
             return (i + 1) * dt
         if (i + 1) % sample_every == 0:
@@ -270,18 +285,59 @@ class TestAgainstReferenceRK4:
         assert np.max(np.abs(traj.mean - means)) <= 1e-13 * np.max(np.abs(means))
         assert np.max(np.abs(traj.sigma - sigmas)) <= 1e-13 * np.max(np.abs(sigmas))
 
-    @pytest.mark.parametrize("dt", [0.5, 0.2, 0.1])
-    def test_positivity_lost_at_the_same_step(self, dt):
-        # The model of TestEvolve.test_failure_reports_time; the reference
-        # fails at steps 1, 5 and 62.
+    @pytest.mark.parametrize("dt, sigma0, t_final, step, lost", [
+        (0.5, [[0.5, 0.49], [0.49, 0.5]], 50.0, reference_step, 1),
+        (0.2, [[0.5, 0.49], [0.49, 0.5]], 50.0, reference_step, 5),
+        (0.1, [[0.5, 0.49], [0.49, 0.5]], 50.0, reference_step, 62),
+        (0.2, [[0.5, 0.0], [0.0, 0.5]], 2000.0, one_step_map, 596),
+    ], ids=["0.5", "0.2", "0.1", "overflow"])
+    def test_positivity_lost_at_the_same_step(self, dt, sigma0, t_final, step, lost):
+        # The model of TestEvolve.test_failure_reports_time.  From the nearly
+        # singular state the reference fails at steps 1, 5 and 62.  From
+        # 0.5 I the covariance grows by ~e^1.2 a step and passes the float
+        # range at step 596, t = 119.2, past the stack of increments, which
+        # stops at D_592 (so the failing row is in the second block).  The
+        # hand-unrolled stages pass the range two steps before their
+        # result does, so the reference there is the one-step map.
         p = params(lam=-3.0, D_qq=0.0, D_pp=0.0)
-        state = GaussianState(mean=[0, 0],
-                              sigma=np.array([[0.5, 0.49], [0.49, 0.5]]))
+        state = GaussianState(mean=[0, 0], sigma=np.array(sigma0))
         with pytest.raises(PositivityLost) as err:
-            evolve(state, p, 50.0, dt)
+            evolve(state, p, t_final, dt)
         t_ref = reference_evolve(state, build_drift(p), np.zeros((2, 2)),
-                                 round(50.0 / dt), dt, 1)
-        assert err.value.time == t_ref
+                                 round(t_final / dt), dt, 1, step)
+        assert err.value.time == t_ref == lost * dt
+
+    def test_truncated_stack_matches_the_one_step_map(self):
+        # The overflow model of test_positivity_lost_at_the_same_step, run
+        # to its last finite step: the stack of 595 increments stops before
+        # its first that is not finite, and the run steps shorter blocks.
+        p = params(lam=-3.0, D_qq=0.0, D_pp=0.0)
+        state = GaussianState(mean=[0, 0], sigma=0.5 * np.eye(2))
+        traj = evolve(state, p, 119.0, 0.2)
+        d = dynamics._increments(
+            dynamics._propagator(traj.drift, traj.diffusion, 0.2), 595)
+        assert len(d) < 595 and np.isfinite(d).all()
+        means, sigmas = reference_evolve(state, traj.drift, traj.diffusion,
+                                         595, 0.2, 1, one_step_map)
+        assert len(traj) == 596 and np.isfinite(traj.sigma).all()
+        np.testing.assert_array_equal(traj.mean, means)
+        err = np.max(np.abs(traj.sigma - sigmas), axis=(1, 2))
+        assert np.all(err <= 1e-13 * np.max(np.abs(sigmas), axis=(1, 2)))
+
+    @pytest.mark.parametrize("scale", [1e16, 1e8])
+    def test_relaxing_far_keeps_each_row_accurate(self, scale):
+        # Damped: the covariance relaxes from scale * I to ~1 and the mean
+        # decays by e^-40, both far below the start of any block of 1 000
+        # steps.  Each row's error is measured against that row's own size.
+        p = params(lam=0.3, D_qq=0.4, D_pp=0.4)
+        state = GaussianState(mean=[3.0, -2.0], sigma=scale * np.eye(2))
+        traj = evolve(state, p, 100.0, 0.1)
+        means, sigmas = reference_evolve(state, traj.drift, traj.diffusion,
+                                         1000, 0.1, 1)
+        err = np.max(np.abs(traj.mean - means), axis=1)
+        assert np.all(err <= 1e-13 * np.max(np.abs(means), axis=1))
+        err = np.max(np.abs(traj.sigma - sigmas), axis=(1, 2))
+        assert np.all(err <= 1e-13 * np.max(np.abs(sigmas), axis=(1, 2)))
 
     def test_step_rk4_matches(self):
         # One step of dt; m * omega = 1, so the scaled diffusion is

@@ -82,6 +82,15 @@ class TestAnalyticMinimizer:
         assert res.grid_aleph == pytest.approx(2.0, rel=1e-9)
         assert res.grid_theta == pytest.approx(res.theta_star, rel=1e-9)
 
+    def test_default_range_may_bracket_the_inverse_anisotropy(self):
+        # The default range (0.5, 8.0) holds 1/d = 2 but not d = 0.5 itself.
+        res = run_sieve(1.0, 0.2, diff(d=0.5, phi=0.3))
+        assert (res.aleph_star, res.theta_star) == (2.0, 0.3 + math.pi / 2)
+        assert res.grid_aleph == pytest.approx(2.0, rel=1e-9)
+        assert res.grid_theta == pytest.approx(res.theta_star, rel=1e-9)
+        with pytest.raises(ConfigError, match="bracketing neither"):
+            run_sieve(1.0, 0.2, diff(d=0.3, phi=0.3), 51, 51, (0.5, 2.0))
+
     def test_saturated_bound_gives_zero_rate(self):
         res = analytic_minimizer(1.0, 0.8, diff(delta=0.8, d=1.3, phi=0.1))
         assert res.min_rate == pytest.approx(0.0, abs=1e-15)

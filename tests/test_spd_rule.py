@@ -294,3 +294,14 @@ def test_hbar_that_is_not_positive_and_finite_is_config_error(taker, edge):
     HBAR_TAKERS[taker](HBAR)
     with pytest.raises(ConfigError, match="hbar must be positive and finite"):
         HBAR_TAKERS[taker](EDGES[edge])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("taker", [*HBAR_TAKERS, "ModelParams"])
+def test_subnormal_hbar_is_config_error(taker):
+    # 1e-320 is positive and finite, but 2 / hbar is not; the smallest
+    # normal float is the smallest hbar accepted.
+    take = HBAR_TAKERS.get(taker, lambda h: ModelParams(**dict(_MODEL, hbar=h)))
+    take(np.finfo(float).tiny)
+    with pytest.raises(ConfigError, match="hbar must be positive and finite"):
+        take(1e-320)
