@@ -8,9 +8,10 @@ tolerances stay with their callers.  All but :func:`spectrum` and
 :func:`hurwitz` also take a stack ``(n, 2, 2)``, or a strided view of one:
 they index the transpose, which puts the 2x2 indices first, so one
 expression serves a matrix at scalar speed and a stack at array speed, with
-the same rounding.  :func:`mul`, the time-stepper's product of small
-matrices of any size, sums elementwise products in a fixed order instead of
-calling BLAS.  The module is private: the benchmark's tracer wraps the
+the same rounding.  :func:`mul`, the product of small matrices of any size
+that builds the time-stepper's one-step map, sums elementwise products in a
+fixed order instead of calling BLAS; the stepper writes its own products
+out in the same order.  The module is private: the benchmark's tracer wraps the
 public functions of the layer modules, and these run once per matrix.
 """
 

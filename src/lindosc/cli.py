@@ -57,7 +57,9 @@ _MAX_SIZE = 10 ** 6
 
 #: Bound on m, omega, hbar, d, aleph, their inverses and each drift and scaled
 #: diffusion entry.  The layers form products of two of them (m*omega, det D,
-#: lambda**2 hbar**2, aleph**2) and sum up to four such, which stays finite.
+#: aleph**2) and sum up to four such, which stays finite.  Validate's slack
+#: holds lambda**2 hbar**2, a product of four, which can pass the float
+#: range; _emit then reports the config's error.
 _LARGEST = 2.0 ** 510
 
 # Ranges: (text, test); the test is false for NaN except in _ANY, the range
@@ -231,7 +233,10 @@ def _section(cfg, name):
 
 
 def _emit(obj, path=None):
-    text = serialize.dumps({**obj, "version": __version__})
+    try:
+        text = serialize.dumps({**obj, "version": __version__})
+    except ValueError as exc:  # a result past the float range, not finite
+        raise ConfigError(f"this config asks for a number past the float range ({exc})") from exc
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

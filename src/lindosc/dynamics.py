@@ -17,20 +17,24 @@ the increments D_k = A^k - I, k = 1 ... B, once, by the doubling
 D_(j+m) = D_j + D_m + D_j D_m in log2(B) batched products (the squaring of
 Higham, "The scaling and squaring method for the matrix exponential
 revisited", SIAM J. Matrix Anal. Appl. 26, 2005), and fills each block of B
-steps in one array operation as z + (z, 1) D_k.  The increment form keeps
-each row's rounding relative to its increment; the power form (z, 1) A^k
-drifts.  A row's rounding is still a few ulp of z, the block's start, so a
-block ends early at its first row whose mean or covariance has fallen far
-below z's: a run that relaxes from a broad state keeps each row accurate
+steps at once as z + (z, 1) D_k.  The increment form keeps each
+step's rounding relative to its increment; the power form (z, 1) A^k
+drifts.  A step's rounding is still a few ulp of z, the block's start, so a
+block ends early at its first step whose mean or covariance has fallen far
+below z's: a run that relaxes from a broad state keeps each step accurate
 to its own size.  The stack ends before its first D_k that is not finite,
 so a run that grows past the float range is stepped in shorter blocks, and
-its rows overflow where the step-by-step map would, not where the stack
+its steps overflow where the step-by-step map would, not where the stack
 does.
 
-Every product of the stepping is :func:`_mat2.mul`'s fixed-order sum, with
-no BLAS call, so a trajectory's bytes do not depend on the host's BLAS
-kernel.  Each block is checked at once by :func:`_mat2.spd`, the package's
-one test of a covariance, and the entropy diagnostics of all samples are
+The step axis is last: the stack is ``(6, 5, B)``, a block ``(5, B)``, one
+packed state per column.  Each doubling product and each block fill is then
+a few operations on slabs whose inner loops run along the steps.  Every
+product of the stepping is written out in :func:`_mat2.mul`'s fixed order,
+term by term, with no BLAS call, so a trajectory's bytes do not depend on
+the host's BLAS kernel.  Each block is checked at once by
+:func:`_mat2.spd`, the package's one test of a covariance, on a strided view
+of its covariance rows, and the entropy diagnostics of all samples are
 computed in one call over the sample stack.
 """
 
@@ -150,27 +154,35 @@ def _propagator(drift, diffusion, dt):
 
 
 def _increments(d1, n):
-    """The stack ``(m, 6, 5)`` of D_k = A^k - I, k = 1 ... m, without their
-    zero last columns, from ``d1`` = D_1 of :func:`_propagator`.  m is ``n``,
-    or less where D_(m+1) is the first that is not finite, and at least 1.
+    """The stack ``(6, 5, m)`` of D_k = A^k - I, k = 1 ... m, without their
+    zero last columns, the step axis last: ``d[:, :, k - 1]`` is D_k, from
+    ``d1`` = D_1 of :func:`_propagator`.  m is ``n``, or less where D_(m+1)
+    is the first that is not finite, and at least 1.
 
     A^(j+m) = A^j A^m gives D_(j+m) = D_j + D_m + D_j D_m, so one batched
     product takes D_1 ... D_m to D_1 ... D_2m.  D_j D_m needs only the first
-    five rows of D_m, since D_j's dropped column is zero.  A non-finite D_k
-    would turn a finite row into nan (inf - inf, inf * 0) before the row
-    itself overflows, so the stack stops before it.
+    five rows of D_m, since D_j's dropped column is zero.  The product is
+    :func:`_mat2.mul`'s sum over l = 0 ... 4, in that order, of column l of
+    D_j times row l of D_m, each term one operation on a slab ``(6, 5, k)``
+    whose inner loop runs along the steps.  A non-finite D_k would turn a
+    finite row into nan (inf - inf, inf * 0) before the row itself
+    overflows, so the stack stops before it.
     """
-    d = np.empty((n, 6, 5))
-    d[0] = d1
+    d = np.empty((6, 5, n))
+    d[:, :, 0] = d1
     m = 1
     with np.errstate(all="ignore"):
         while m < n:
             k = min(m, n - m)
-            dm = d[m - 1]
-            np.add(d[:k] + dm, _mat2.mul(d[:k], dm[:5]), out=d[m:m + k])
+            dj, dm = d[:, :, :k], d[:, :, m - 1, None]
+            out = np.add(dj, dm, out=d[:, :, m:m + k])
+            product = dj[:, :1] * dm[0]
+            for l in range(1, 5):
+                product += dj[:, l:l + 1] * dm[l]
+            out += product
             m += k
-    finite = np.isfinite(d).all(axis=(1, 2))
-    return d if finite.all() else d[:max(1, int(np.argmin(finite)))]
+    finite = np.isfinite(d).all(axis=(0, 1))
+    return d if finite.all() else d[:, :, :max(1, int(np.argmin(finite)))]
 
 
 def _pack(state):
@@ -182,51 +194,61 @@ def _pack(state):
 
 
 def _unpack(z):
-    """Means ``(n, 2)`` and covariances ``(n, 2, 2)`` from rows of packed states."""
-    sigma = np.empty((len(z), 2, 2))
-    sigma[:, 0, 0] = z[:, 2]
-    sigma[:, 0, 1] = sigma[:, 1, 0] = z[:, 3]
-    sigma[:, 1, 1] = z[:, 4]
-    return z[:, :2].copy(), sigma
+    """Means ``(n, 2)`` and covariances ``(n, 2, 2)`` from the columns of
+    ``z`` ``(5, n)``, one packed state each."""
+    sigma = np.empty((z.shape[1], 2, 2))
+    sigma[:, 0, 0] = z[2]
+    sigma[:, 0, 1] = sigma[:, 1, 0] = z[3]
+    sigma[:, 1, 1] = z[4]
+    return z[:2].T.copy(), sigma
 
 
 def _step(z, d, block):
-    """Fill the n rows of ``block`` with the RK4 steps 1 ... n from ``z``, row
-    k - 1 with z + (z, 1) D_k from the stack ``d`` of :func:`_increments`.
+    """Fill the n columns of ``block`` ``(5, n)`` with the RK4 steps 1 ... n
+    from ``z``, column k - 1 with z + (z, 1) D_k from the stack ``d`` of
+    :func:`_increments`.  (z, 1) D_k is :func:`_mat2.mul`'s sum over
+    l = 0 ... 5, in that order, of entry l of (z, 1) times row l of D_k, each
+    term a scalar times a slab ``(5, n)``.
 
     Runs under ``np.errstate`` so that a run which overflows leaves no
     warnings; :func:`_first_failure` reports it instead.
     """
     with np.errstate(all="ignore"):
-        inc = _mat2.mul(np.append(z, 1.0)[None, :], d[:len(block)])
-        np.add(z, inc[:, 0], out=block)
+        np.multiply(z[0], d[0], out=block)
+        for l, zl in enumerate((*z[1:], 1.0), start=1):
+            block += zl * d[l]
+        block += z[:, None]
 
 
-def _kept(z, rows):
-    """How many of ``rows``, the block stepped from ``z``, to keep: all, or
+def _kept(z, block):
+    """How many columns of ``block``, stepped from ``z``, to keep: all, or
     those before the first whose mean or covariance has fallen below
     :data:`_SHRINK` of z's, and at least one.
 
-    Each row carries a few ulp of z in rounding.  A row kept is the first,
-    one step from z as in a step-by-step loop, or within a factor
+    Each column carries a few ulp of z in rounding.  A column kept is the
+    first, one step from z as in a step-by-step loop, or within a factor
     1 / _SHRINK of z's scale, so its error stays a few ulp of its own size
-    however far the run relaxes.  The next block starts from the last row
+    however far the run relaxes.  The next block starts from the last column
     kept.  The mean's scale is max(|x1|, |x2|) and the covariance's
     max(|S11|, |S22|), taken apart since the two relax apart.
     """
-    a = np.abs(rows)
-    fell = np.maximum(a[:, 0], a[:, 1]) < _SHRINK * max(abs(z[0]), abs(z[1]))
-    fell |= np.maximum(a[:, 2], a[:, 4]) < _SHRINK * max(abs(z[2]), abs(z[4]))
+    a = np.abs(block)
+    fell = np.maximum(a[0], a[1]) < _SHRINK * max(abs(z[0]), abs(z[1]))
+    fell |= np.maximum(a[2], a[4]) < _SHRINK * max(abs(z[2]), abs(z[4]))
     i = int(np.argmax(fell))
-    return max(i, 1) if fell[i] else len(rows)
+    return max(i, 1) if fell[i] else block.shape[1]
 
 
 def _first_failure(block):
-    """Index of the first row of ``block`` that :class:`GaussianState` rejects,
-    its mean not finite or its covariance failing :func:`_mat2.spd`; else None.
-    Its covariances are a view of the packed columns, entry (i, j) column 2 + i + j."""
-    ok = np.isfinite(block[:, 0]) & np.isfinite(block[:, 1])
-    ok &= _mat2.spd(np.lib.stride_tricks.sliding_window_view(block[:, 2:], 2, axis=1))[0]
+    """Index of the first column of ``block`` ``(5, n)`` that
+    :class:`GaussianState` rejects, its mean not finite or its covariance
+    failing :func:`_mat2.spd`; else None.  The covariances are a strided view
+    of the rows S11, S12 and S22, entry (i, j) row 2 + i + j, with no copy."""
+    s0, s1 = block.strides
+    sigma = np.lib.stride_tricks.as_strided(block[2:], (block.shape[1], 2, 2), (s1, s0, s0),
+                                            writeable=False)
+    ok = np.isfinite(block[0]) & np.isfinite(block[1])
+    ok &= _mat2.spd(sigma)[0]
     return None if ok.all() else int(np.argmin(ok))
 
 
@@ -261,9 +283,9 @@ def evolve(state, params, t_final, dt, sample_every=1):
     hbar = params.hbar
     d = _increments(_propagator(drift, diffusion, dt), min(_BLOCK, max(n_steps, 1)))
 
-    samples = np.empty((n_steps // sample_every + 1, 5))
-    samples[0] = z = _pack(state)
-    block = np.empty((len(d), 5))
+    samples = np.empty((5, n_steps // sample_every + 1))
+    samples[:, 0] = z = _pack(state)
+    block = np.empty(d.shape[1:])
     done, n_samples = 0, 1
     while done < n_steps:
         # Each block is stepped and checked in full, also past n_steps and
@@ -272,20 +294,20 @@ def evolve(state, params, t_final, dt, sample_every=1):
         # heap: peak RSS grew by ~1 MB over 1 500 evolves of 3 000 steps.
         _step(z, d, block)
         i = _first_failure(block)
-        rows = block[:min(_kept(z, block), n_steps - done)]
-        if i is not None and i < len(rows):
+        steps = block[:, :min(_kept(z, block), n_steps - done)]
+        if i is not None and i < steps.shape[1]:
             t = (done + i + 1) * dt
-            mean, sigma = _unpack(rows[i:i + 1])
-            try:  # raises: the same test on the same row
+            mean, sigma = _unpack(steps[:, i:i + 1])
+            try:  # raises: the same test on the same state
                 GaussianState(mean=mean[0], sigma=sigma[0])
             except (NotSPD, UnphysicalState) as exc:
                 raise PositivityLost(f"{exc} at t = {t}", time=t) from None
-        # Row k holds step done + k + 1; keep the multiples of sample_every.
-        picked = rows[(-done - 1) % sample_every::sample_every]
-        samples[n_samples:n_samples + len(picked)] = picked
-        n_samples += len(picked)
-        z = rows[-1].copy()
-        done += len(rows)
+        # Column k holds step done + k + 1; keep the multiples of sample_every.
+        picked = steps[:, (-done - 1) % sample_every::sample_every]
+        samples[:, n_samples:n_samples + picked.shape[1]] = picked
+        n_samples += picked.shape[1]
+        z = steps[:, -1].copy()
+        done += steps.shape[1]
 
     mean, sigma = _unpack(samples)
     rep = _entropy.report(sigma, drift, diffusion, hbar)

@@ -10,30 +10,37 @@ formatting every cell on its own.
 from __future__ import annotations
 
 import json
-import re
+import math
 
 import numpy as np
 
-_TOKEN = "@@f17@@"
-_TOKEN_RE = re.compile(f'"{_TOKEN}([^"]*){_TOKEN}"')
 
-
-def _tag_floats(obj):
-    if isinstance(obj, bool):
-        return obj
+def _encode(obj, indent, level):
     if isinstance(obj, float):
-        return f"{_TOKEN}{float(obj):.17g}{_TOKEN}"
+        if not math.isfinite(obj):
+            raise ValueError(f"{float(obj)} is not a JSON number")
+        return f"{float(obj):.17g}"
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    if not obj:
+        return brackets
     if isinstance(obj, dict):
-        return {k: _tag_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_tag_floats(v) for v in obj]
-    return obj
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError(f"keys {list(obj)} are not all strings")
+        items = [f"{json.dumps(key)}: {_encode(value, indent, level + 1)}"
+                 for key, value in obj.items()]
+    else:
+        items = [_encode(value, indent, level + 1) for value in obj]
+    inner = "\n" + indent * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent * level + brackets[1]
 
 
 def dumps(obj, indent=2):
-    """json.dumps with every float printed at 17 significant digits."""
-    text = json.dumps(_tag_floats(obj), indent=indent)
-    return _TOKEN_RE.sub(lambda m: m.group(1), text)
+    """``json.dumps(obj, indent=indent)``, with every float printed at 17
+    significant digits.  A float that is not finite has no JSON form and
+    raises ``ValueError``; a dict key that is not a str raises ``TypeError``."""
+    return _encode(obj, " " * indent, 0)
 
 
 #: Rows formatted per ``%`` operation.  One operation over a whole table

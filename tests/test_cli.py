@@ -352,26 +352,39 @@ def test_runs_as_a_module():
     assert out.stdout.strip() == __version__
 
 
-def test_evolve_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+#: The files of the example's evolve, sieve and sweep, by config key.
+_RUN_OUTPUTS = {"evolve": {"evolve.trajectory_csv": "trajectory.csv",
+                           "evolve.summary_json": "evolve_summary.json"},
+                "sieve": {"sieve.summary_json": "sieve_summary.json"},
+                "sweep": {"sweep.landscape_csv": "landscape.csv"}}
+
+
+def test_output_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     # OpenBLAS picks its kernel at load from OPENBLAS_CORETYPE, set here in
-    # the child's environment only.  The stepping calls no BLAS, so the
-    # example's trajectory and summary come out the same under each kernel.
+    # the child's environment only.  Neither the stepping nor the sieve calls
+    # BLAS, so each file of the example's evolve, sieve and sweep comes out
+    # the same under each kernel.  One child per kernel runs all three.
     root = Path(__file__).resolve().parents[1]
-    digests = set()
+    config = str(root / "demos" / "config_example.json")
+    script = ("import json, sys\nfrom lindosc.cli import main\n"
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    digests = {}
     for core in ("SkylakeX", "Haswell", "Sandybridge", "Prescott"):
         out_dir = tmp_path / core
         out_dir.mkdir()
+        runs = [[command, "--config", config]
+                + [arg for key, name in outputs.items()
+                   for arg in ("--set", f"{key}={out_dir / name}")]
+                for command, outputs in _RUN_OUTPUTS.items()]
         env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_CORETYPE=core)
-        argv = [sys.executable, "-m", "lindosc.cli", "evolve", "--config",
-                str(root / "demos" / "config_example.json"),
-                "--set", f"evolve.trajectory_csv={out_dir / 'trajectory.csv'}",
-                "--set", f"evolve.summary_json={out_dir / 'evolve_summary.json'}"]
-        out = subprocess.run(argv, env=env, capture_output=True, text=True,
-                             timeout=120)
+        out = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                             capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        digests.add(tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-                          for name in ("trajectory.csv", "evolve_summary.json")))
-    assert len(digests) == 1, digests
+        for outputs in _RUN_OUTPUTS.values():
+            for name in outputs.values():
+                digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                digests.setdefault(name, set()).add(digest)
+    assert len(digests) == 4 and all(len(d) == 1 for d in digests.values()), digests
 
 
 @pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner", "validate"])
@@ -613,6 +626,18 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, command, override):
     code, err = run_main(argv + ["--set", override])
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_a_report_past_the_float_range_is_a_usage_error(tmp_path):
+    # lambda**2 hbar**2 / 4 passes the float range, so validate's slack is
+    # -inf, which JSON has no number for: no report is written.
+    example = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
+    report = tmp_path / "v.json"
+    code, err = run_main(["validate", "--config", str(example),
+                          "--set", f"validate.report_json={report}",
+                          "--set", "model.lambda=1e150", "--set", "model.hbar=1e150"])
+    assert code == 1 and not report.exists()
+    assert err.startswith("error: ") and "-inf" in err and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lindosc import (CovDecomposition, GaussianState, ModelParams, _mat2,
-                     build_drift, compose, dynamics, entropy, evolve,
+                     build_drift, build_scaled_diffusion, compose, dynamics,
+                     entropy, evolve,
                      heisenberg_slack, rhs_sigma, stationary_covariance)
 from lindosc.errors import NotStable, PositivityLost, UnphysicalState
 
@@ -316,7 +317,7 @@ class TestAgainstReferenceRK4:
         traj = evolve(state, p, 119.0, 0.2)
         d = dynamics._increments(
             dynamics._propagator(traj.drift, traj.diffusion, 0.2), 595)
-        assert len(d) < 595 and np.isfinite(d).all()
+        assert d.shape[:2] == (6, 5) and d.shape[2] < 595 and np.isfinite(d).all()
         means, sigmas = reference_evolve(state, traj.drift, traj.diffusion,
                                          595, 0.2, 1, one_step_map)
         assert len(traj) == 596 and np.isfinite(traj.sigma).all()
@@ -351,6 +352,57 @@ class TestAgainstReferenceRK4:
                                      traj.diffusion, 0.05)
         np.testing.assert_allclose(traj.mean[-1], mean, rtol=0, atol=1e-15)
         np.testing.assert_allclose(traj.sigma[-1], sigma, rtol=0, atol=1e-15)
+
+
+def reference_increments(d1, n):
+    """D_1 ... D_m as a stack ``(m, 6, 5)``, the step axis first: the
+    stepper's doubling with each product one :func:`_mat2.mul` call."""
+    d = np.empty((n, 6, 5))
+    d[0] = d1
+    m = 1
+    with np.errstate(all="ignore"):
+        while m < n:
+            k = min(m, n - m)
+            dm = d[m - 1]
+            np.add(d[:k] + dm, _mat2.mul(d[:k], dm[:5]), out=d[m:m + k])
+            m += k
+    finite = np.isfinite(d).all(axis=(1, 2))
+    return d if finite.all() else d[:max(1, int(np.argmin(finite)))]
+
+
+def random_model(rng, sign):
+    p = params(lam=sign * rng.uniform(0.05, 2.0), mu=rng.uniform(-0.5, 0.5),
+               omega=rng.uniform(0.2, 3.0), D_qq=rng.uniform(0.0, 2.0),
+               D_pp=rng.uniform(0.0, 2.0), D_pq=rng.uniform(-0.3, 0.3))
+    return build_drift(p), build_scaled_diffusion(p), rng.uniform(1e-3, 0.2)
+
+
+def increment_cases():
+    rng = np.random.default_rng(19)
+    for sign, name in ((1.0, "damped"), (-1.0, "anti_damped")):
+        for i in range(3):
+            yield pytest.param(*random_model(rng, sign), id=f"{name}_{i}")
+    # The overflow model of test_positivity_lost_at_the_same_step: its stack
+    # stops before its first non-finite increment.
+    yield pytest.param(build_drift(params(lam=-3.0)), np.zeros((2, 2)), 0.2,
+                       id="truncated")
+
+
+@pytest.mark.parametrize("drift, diffusion, dt", increment_cases())
+def test_step_axis_last_keeps_the_bits(drift, diffusion, dt):
+    # The stack (6, 5, m) and a block (5, m) hold the same floats, bit for
+    # bit, as the step-axis-first stack and one mul of (z, 1) with it.
+    d1 = dynamics._propagator(drift, diffusion, dt)
+    ref = reference_increments(d1, dynamics._BLOCK)
+    d = dynamics._increments(d1, dynamics._BLOCK)
+    assert d.shape == (6, 5, len(ref))
+    assert np.array_equal(np.moveaxis(d, -1, 0).view(np.uint64), ref.view(np.uint64))
+    z = np.array([0.7, -1.3, 2.1, 0.4, 1.6])
+    with np.errstate(all="ignore"):
+        ref_block = z + _mat2.mul(np.append(z, 1.0)[None, :], ref)[:, 0]
+    block = np.empty(d.shape[1:])
+    dynamics._step(z, d, block)
+    assert np.array_equal(block.T.view(np.uint64), ref_block.view(np.uint64))
 
 
 def test_stacked_diagnostics_equal_report_per_sample():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -82,3 +83,40 @@ def test_write_csv_bytes_match_per_value_formatting(tmp_path, case, data):
     expected = header + "\n" + "".join(
         ",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist())
     assert path.read_bytes() == expected.encode()
+
+
+def test_dumps_lays_out_json_as_json_dumps():
+    # Without floats the text is json.dumps's own, escapes and empty
+    # containers included.
+    obj = {"a": 1, "b": [True, None, "x\u00e9\"\n", [], (2, 3)], "c": {},
+           "d": {"e": [1, [2]]}}
+    assert serialize.dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_prints_floats_at_17_digits_and_they_read_back():
+    floats = [0.1, 1.0, -0.0, 5e-324, 1e-310, 1.7976931348623157e308,
+              np.float64(1.0 / 3.0)]
+    text = serialize.dumps({"x": floats})
+    assert text.splitlines()[2:9] == [f"    {x:.17g}," for x in floats[:-1]] + [
+        f"    {floats[-1]:.17g}"]
+    # Equal in value: "1" and "-0" read back as the ints 1 and 0.
+    assert json.loads(text)["x"] == floats
+
+
+def test_dumps_leaves_strings_as_they_are():
+    # Text that looks like a formatted float, or like a marker around one,
+    # stays a string.
+    obj = {"s": "@@f17@@x@@f17@@", "t": ["@@f17@@1.5@@f17@@", 0.1], "1.5": "0.1"}
+    assert json.loads(serialize.dumps(obj)) == obj
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_dumps_rejects_a_float_that_is_not_finite(value):
+    # json.loads reads no bare nan or inf, so there is no text to write.
+    with pytest.raises(ValueError, match="not a JSON number"):
+        serialize.dumps({"a": [1.0, {"b": value}]})
+
+
+def test_dumps_rejects_a_key_that_is_not_a_string():
+    with pytest.raises(TypeError):
+        serialize.dumps({1: 2.0})

@@ -218,7 +218,8 @@ def test_a_block_the_stepper_passes_passes_check_spd_row_by_row():
 
     failures = 0
     for block in np.split(rows, n // 4):
-        first = _first_failure(block)
+        # The stepper holds a block's states as columns, (5, n).
+        first = _first_failure(block.T)
         assert all(passes(z) for z in block[:first])
         if first is not None:
             failures += 1
