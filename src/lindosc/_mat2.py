@@ -4,15 +4,13 @@ Covariances and diffusion matrices are 2x2, so their determinants, inverses
 and eigenvalues are written out once here, with :func:`spd`, the one test of
 whether such a matrix is acceptable (entry points raise through
 :func:`check_spd`; the time-stepper tests each block of steps).  Other
-tolerances stay with their callers.  All but :func:`spectrum` and
-:func:`hurwitz` also take a stack ``(n, 2, 2)``, or a strided view of one:
-they index the transpose, which puts the 2x2 indices first, so one
-expression serves a matrix at scalar speed and a stack at array speed, with
-the same rounding.  :func:`mul`, the product of small matrices of any size
-that builds the time-stepper's one-step map, sums elementwise products in a
-fixed order instead of calling BLAS; the stepper writes its own products
-out in the same order.  The module is private: the benchmark's tracer wraps the
-public functions of the layer modules, and these run once per matrix.
+tolerances stay with their callers.  :func:`det`, :func:`inv`,
+:func:`normalize` and :func:`spd` also take a stack ``(n, 2, 2)``, or a strided
+view of one: they index the transpose, which puts the 2x2 indices first, so one
+expression serves a matrix and a stack with the same rounding.  :func:`dot` is
+the package's one fixed summation order: every matrix product that feeds an
+output is one, not a BLAS call.  The module is private: the benchmark's tracer
+wraps the public functions of the layer modules, and these run once per matrix.
 """
 
 from __future__ import annotations
@@ -90,23 +88,26 @@ def normalize(m):
     return np.divide(m.T, s, order="C").T, s, top / s
 
 
-def mul(a, b):
-    """Matrix product of ``a`` and ``b``, or of broadcast stacks of them, as
-    the sum over k = 0, 1, ... of ``a[..., :, k] * b[..., k, :]`` in that
-    order.  Each entry is a fixed sequence of rounded products and sums, so
-    the result is the same on every machine, where ``@`` rounds as the host's
-    BLAS kernel does (with or without fused multiply-adds, in its own order)."""
-    out = a[..., :, :1] * b[..., :1, :]
-    for k in range(1, a.shape[-1]):
-        out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+def dot(a, b, out=None):
+    """The sum over k = 0, 1, ... of ``a[k] * b[k]``, broadcast, in that
+    order, into ``out`` if given: a fixed sequence of rounded products and
+    sums, the same on every machine, where ``@`` rounds as the host's BLAS
+    kernel does (with or without fused multiply-adds, in its own order)."""
+    out = np.multiply(a[0], b[0], out=out)
+    for k in range(1, len(a)):
+        out += a[k] * b[k]
     return out
 
 
+def mul(a, b):
+    """Matrix product of 2-D ``a`` and ``b``: :func:`dot` of a's columns and b's rows."""
+    return dot(a.T[:, :, None], b[:, None, :])
+
+
 def spectrum(m):
-    """``(trace, smallest eigenvalue, largest eigenvalue)`` of a symmetric
-    ``m``."""
-    tr = m[0, 0] + m[1, 1]
-    gap = math.hypot(m[0, 0] - m[1, 1], 2.0 * m[0, 1])
+    """``(trace, least, greatest eigenvalue)`` of a symmetric ``m``, array or nested tuples."""
+    tr = m[0][0] + m[1][1]
+    gap = math.hypot(m[0][0] - m[1][1], 2.0 * m[0][1])
     return tr, 0.5 * (tr - gap), 0.5 * (tr + gap)
 
 

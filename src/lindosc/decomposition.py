@@ -2,7 +2,7 @@
 
 A symmetric positive definite covariance matrix is written as
 
-    M = (hbar * A / 2) * O(theta)^T @ diag(aleph**2, aleph**-2) @ O(theta)
+    M = (hbar * A / 2) * O(theta)^T diag(aleph**2, aleph**-2) O(theta)
 
 with ``A`` the phase-space area, ``aleph >= 1`` the squeezing parameter and
 ``O(theta)`` the rotation with the convention ``O = [[c, -s], [s, c]]``.
@@ -82,7 +82,7 @@ def _compose(scale, ratio, angle, hbar):
     ratio = np.float64(ratio)  # squared past the float range: inf, not OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
         m = ((_positive(hbar) * scale / 2.0)
-             * (o.T @ np.diag([ratio ** 2, ratio ** -2]) @ o))
+             * _mat2.mul(_mat2.mul(o.T, np.diag([ratio ** 2, ratio ** -2])), o))
     if not np.isfinite(m).all():
         raise ConfigError(f"scale {scale}, squeezing or anisotropy {ratio} and "
                           f"angle {angle} compose to a matrix that is not finite")

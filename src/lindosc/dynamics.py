@@ -2,9 +2,9 @@
 
 The covariance matrix obeys the linear matrix ODE
 
-    d(sigma)/dt = drift @ sigma + sigma @ drift.T + 2 * diffusion
+    d(sigma)/dt = drift sigma + sigma drift^T + 2 diffusion
 
-and the means follow the drift flow d(mean)/dt = drift @ mean.  Both are
+and the means follow the drift flow d(mean)/dt = drift mean.  Both are
 integrated jointly with a fixed-step classical Runge-Kutta 4 scheme, which
 keeps trajectories bit-reproducible for identical inputs.
 
@@ -30,16 +30,16 @@ does.
 The step axis is last: the stack is ``(6, 5, B)``, a block ``(5, B)``, one
 packed state per column.  Each doubling product and each block fill is then
 a few operations on slabs whose inner loops run along the steps.  Every
-product of the stepping is written out in :func:`_mat2.mul`'s fixed order,
-term by term, with no BLAS call, so a trajectory's bytes do not depend on
-the host's BLAS kernel.  Each block is checked at once by
-:func:`_mat2.spd`, the package's one test of a covariance, on a strided view
-of its covariance rows, and the entropy diagnostics of all samples are
-computed in one call over the sample stack.
+product here is a :func:`_mat2.dot`, in its fixed order, so a trajectory's
+bytes do not depend on the host's BLAS kernel.  Each block is checked at
+once by :func:`_mat2.spd`, the package's one test of a covariance, on a
+strided view of its covariance rows, and the entropy diagnostics of all
+samples are computed in one call over the sample stack.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +97,9 @@ class Trajectory:
 
 
 def rhs_sigma(sigma, drift, diffusion):
-    """Right-hand side of the covariance ODE; symmetric for symmetric input."""
-    return drift @ sigma + sigma @ drift.T + 2.0 * diffusion
+    """Right-hand side of the covariance ODE at one 2x2 ``sigma``; symmetric if it is."""
+    sigma = np.reshape(sigma, (2, 2))  # a stack raises, not a wrong product
+    return _mat2.mul(drift, sigma) + _mat2.mul(sigma, drift.T) + 2.0 * diffusion
 
 
 def heisenberg_slack(sigma, hbar):
@@ -113,9 +114,9 @@ def heisenberg_slack(sigma, hbar):
 
 
 def _sigma_generator(drift):
-    """3x3 matrix L with rhs_sigma = L @ (S11, S12, S22) + 2 * (D11, D12, D22).
+    """3x3 matrix L with rhs_sigma = L (S11, S12, S22) + 2 (D11, D12, D22).
 
-    Rows are the (11), (12) and (22) components of drift@S + S@drift.T.
+    Rows are the (11), (12) and (22) components of drift S + S drift^T.
     """
     y11, y12 = drift[0]
     y21, y22 = drift[1]
@@ -162,11 +163,11 @@ def _increments(d1, n):
     A^(j+m) = A^j A^m gives D_(j+m) = D_j + D_m + D_j D_m, so one batched
     product takes D_1 ... D_m to D_1 ... D_2m.  D_j D_m needs only the first
     five rows of D_m, since D_j's dropped column is zero.  The product is
-    :func:`_mat2.mul`'s sum over l = 0 ... 4, in that order, of column l of
-    D_j times row l of D_m, each term one operation on a slab ``(6, 5, k)``
-    whose inner loop runs along the steps.  A non-finite D_k would turn a
-    finite row into nan (inf - inf, inf * 0) before the row itself
-    overflows, so the stack stops before it.
+    :func:`_mat2.dot`'s sum over l = 0 ... 4 of column l of D_j times row l
+    of D_m, each term one operation on a slab ``(6, 5, k)`` whose inner loop
+    runs along the steps.  A non-finite D_k would turn a finite row into nan
+    (inf - inf, inf * 0) before the row itself overflows, so the stack stops
+    before it.
     """
     d = np.empty((6, 5, n))
     d[:, :, 0] = d1
@@ -176,10 +177,7 @@ def _increments(d1, n):
             k = min(m, n - m)
             dj, dm = d[:, :, :k], d[:, :, m - 1, None]
             out = np.add(dj, dm, out=d[:, :, m:m + k])
-            product = dj[:, :1] * dm[0]
-            for l in range(1, 5):
-                product += dj[:, l:l + 1] * dm[l]
-            out += product
+            out += _mat2.dot(dj.transpose(1, 0, 2)[:, :, None], dm[:5])
             m += k
     finite = np.isfinite(d).all(axis=(0, 1))
     return d if finite.all() else d[:, :, :max(1, int(np.argmin(finite)))]
@@ -206,17 +204,13 @@ def _unpack(z):
 def _step(z, d, block):
     """Fill the n columns of ``block`` ``(5, n)`` with the RK4 steps 1 ... n
     from ``z``, column k - 1 with z + (z, 1) D_k from the stack ``d`` of
-    :func:`_increments`.  (z, 1) D_k is :func:`_mat2.mul`'s sum over
-    l = 0 ... 5, in that order, of entry l of (z, 1) times row l of D_k, each
-    term a scalar times a slab ``(5, n)``.
-
-    Runs under ``np.errstate`` so that a run which overflows leaves no
-    warnings; :func:`_first_failure` reports it instead.
+    :func:`_increments`.  (z, 1) D_k is :func:`_mat2.dot`'s sum over
+    l = 0 ... 5 of entry l of (z, 1) times row l of D_k, each term a scalar
+    times a slab ``(5, n)``.  Overflow raises no warning here;
+    :func:`_first_failure` reports it.
     """
     with np.errstate(all="ignore"):
-        np.multiply(z[0], d[0], out=block)
-        for l, zl in enumerate((*z[1:], 1.0), start=1):
-            block += zl * d[l]
+        _mat2.dot((*z, 1.0), d, out=block)
         block += z[:, None]
 
 
@@ -274,6 +268,10 @@ def evolve(state, params, t_final, dt, sample_every=1):
         raise ValueError("t_final must be nonnegative and finite")
     if not dt > 0:
         raise ValueError("dt must be positive")
+    try:
+        sample_every = operator.index(sample_every)
+    except TypeError:
+        sample_every = 0  # not an integer, so refused below
     if sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
     n_steps = int(round(t_final / dt))

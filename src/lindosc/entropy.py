@@ -89,7 +89,7 @@ def report(sigma, drift, diffusion, hbar):
             raise NotSPD(f"{name} matrix {m.tolist()} is not a finite 2x2 matrix")
     unit, s, a, det = _area(np.asarray(sigma, dtype=float), hbar)
     with np.errstate(over="ignore", invalid="ignore"):
-        # tr(diffusion @ inv(sigma)) as the diagonal of the product with
+        # tr(diffusion inv(sigma)) as the diagonal of the product with
         # inv(unit) = s * inv(sigma), then / s: only the sum can overflow.
         inv = _mat2.inv(unit, det).T
         tr_d_inv = ((diffusion[0, 0] * inv[0, 0] + diffusion[0, 1] * inv[0, 1])

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _mat2
 from .decomposition import _ISOTROPY_TOL
 from .errors import ConfigError
 
@@ -151,8 +152,8 @@ def _polish(aleph, theta, diff):
     for _ in range(_POLISH_MAX_ITER):
         (g_u, g_t), (h_ut, h_tt) = _bracket_derivatives(aleph, theta, diff)
         h_uu = 4.0 * bracket
-        low = 0.5 * (h_uu + h_tt - math.hypot(h_uu - h_tt, 2.0 * h_ut))
-        shift = 0.0 if low > 0.0 else 1e-12 * (h_uu + h_tt) - 2.0 * low
+        tr, low, _ = _mat2.spectrum(((h_uu, h_ut), (h_ut, h_tt)))
+        shift = 0.0 if low > 0.0 else 1e-12 * tr - 2.0 * low
         a, c = h_uu + shift, h_tt + shift
         det = a * c - h_ut * h_ut
         step_u = (h_ut * g_t - c * g_u) / det

@@ -352,18 +352,23 @@ def test_runs_as_a_module():
     assert out.stdout.strip() == __version__
 
 
-#: The files of the example's evolve, sieve and sweep, by config key.
-_RUN_OUTPUTS = {"evolve": {"evolve.trajectory_csv": "trajectory.csv",
-                           "evolve.summary_json": "evolve_summary.json"},
-                "sieve": {"sieve.summary_json": "sieve_summary.json"},
-                "sweep": {"sweep.landscape_csv": "landscape.csv"}}
+#: The example's evolve, sieve and sweep, and an evolve from a state that
+#: compose builds from (aleph, theta) = (1.62, 1.27): each run's command,
+#: its settings and its files by config key.
+_RUNS = [("evolve", [], {"evolve.trajectory_csv": "trajectory.csv",
+                         "evolve.summary_json": "evolve_summary.json"}),
+         ("sieve", [], {"sieve.summary_json": "sieve_summary.json"}),
+         ("sweep", [], {"sweep.landscape_csv": "landscape.csv"}),
+         ("evolve", ["state.aleph=1.62", "state.theta=1.27"],
+          {"evolve.trajectory_csv": "composed_trajectory.csv",
+           "evolve.summary_json": "composed_summary.json"})]
 
 
 def test_output_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     # OpenBLAS picks its kernel at load from OPENBLAS_CORETYPE, set here in
-    # the child's environment only.  Neither the stepping nor the sieve calls
-    # BLAS, so each file of the example's evolve, sieve and sweep comes out
-    # the same under each kernel.  One child per kernel runs all three.
+    # the child's environment only.  Neither the stepping, nor compose, nor
+    # the sieve calls BLAS, so each file of these runs comes out the same
+    # under each kernel.  One child per kernel runs all four.
     root = Path(__file__).resolve().parents[1]
     config = str(root / "demos" / "config_example.json")
     script = ("import json, sys\nfrom lindosc.cli import main\n"
@@ -373,18 +378,19 @@ def test_output_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
         out_dir = tmp_path / core
         out_dir.mkdir()
         runs = [[command, "--config", config]
+                + [arg for setting in settings for arg in ("--set", setting)]
                 + [arg for key, name in outputs.items()
                    for arg in ("--set", f"{key}={out_dir / name}")]
-                for command, outputs in _RUN_OUTPUTS.items()]
+                for command, settings, outputs in _RUNS]
         env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_CORETYPE=core)
         out = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        for outputs in _RUN_OUTPUTS.values():
+        for _, _, outputs in _RUNS:
             for name in outputs.values():
                 digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                 digests.setdefault(name, set()).add(digest)
-    assert len(digests) == 4 and all(len(d) == 1 for d in digests.values()), digests
+    assert len(digests) == 6 and all(len(d) == 1 for d in digests.values()), digests
 
 
 @pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner", "validate"])

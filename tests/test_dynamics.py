@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lindosc import (CovDecomposition, GaussianState, ModelParams, _mat2,
-                     build_drift, build_scaled_diffusion, compose, dynamics,
+from lindosc import (CovDecomposition, DiffDecomposition, GaussianState, ModelParams,
+                     build_drift, build_scaled_diffusion, compose, compose_diffusion, dynamics,
                      entropy, evolve,
                      heisenberg_slack, rhs_sigma, stationary_covariance)
 from lindosc.errors import NotStable, PositivityLost, UnphysicalState
@@ -36,6 +36,12 @@ class TestRightHandSides:
         lam, delta = 0.7, 1.2
         out = rhs_sigma(iso(1.0), -lam * np.eye(2), iso(delta))
         np.testing.assert_allclose(out, (HBAR * delta - HBAR * lam) * np.eye(2))
+
+    def test_a_stack_is_refused(self):
+        # The products are of one matrix; a stack of two would broadcast
+        # into a wrong (2, 2, 2) array instead of raising.
+        with pytest.raises(ValueError):
+            rhs_sigma(np.stack([iso(1.0), iso(2.0)]), ROTATION, np.zeros((2, 2)))
 
     def test_pure_diffusion(self):
         sigma = np.array([[1.3, 0.4], [0.4, 0.8]])
@@ -99,7 +105,7 @@ class TestEvolve:
     @pytest.mark.parametrize("t_final, dt, sample_every",
                              [(1.0, 0.0, 1), (1.0, -1e-3, 1),
                               (-1.0, 1e-3, 1), (1.0, 1e-3, 0),
-                              (math.inf, 1e-3, 1)])
+                              (math.inf, 1e-3, 1), (1.0, 1e-3, 1.5)])
     def test_bad_arguments_raise_value_error(self, t_final, dt, sample_every):
         state = GaussianState(mean=[0.0, 0.0], sigma=iso(1.0))
         with pytest.raises(ValueError):
@@ -236,11 +242,21 @@ def reference_step(mean, sigma, drift, diffusion, dt):
     return mean, 0.5 * (sigma + sigma.T)
 
 
+def stack_mul(a, b):
+    """Matrix product of broadcast stacks, summed over k = 0, 1, ... of
+    ``a[..., :, k] * b[..., k, :]`` in that order: the stepper's summation
+    order, written here apart from the package's code."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
+
+
 def one_step_map(mean, sigma, drift, diffusion, dt):
     """One step of the affine map z -> z + (z, 1) D_1 on z = (x1, x2, S11,
     S12, S22): the stepper's one-step map, taken one row at a time."""
     z = np.array([[*mean, sigma[0, 0], sigma[0, 1], sigma[1, 1], 1.0]])
-    z = z[0, :5] + _mat2.mul(z, dynamics._propagator(drift, diffusion, dt))[0]
+    z = z[0, :5] + stack_mul(z, dynamics._propagator(drift, diffusion, dt))[0]
     return z[:2], np.array([[z[2], z[3]], [z[3], z[4]]])
 
 
@@ -356,7 +372,7 @@ class TestAgainstReferenceRK4:
 
 def reference_increments(d1, n):
     """D_1 ... D_m as a stack ``(m, 6, 5)``, the step axis first: the
-    stepper's doubling with each product one :func:`_mat2.mul` call."""
+    stepper's doubling with each product one :func:`stack_mul` call."""
     d = np.empty((n, 6, 5))
     d[0] = d1
     m = 1
@@ -364,7 +380,7 @@ def reference_increments(d1, n):
         while m < n:
             k = min(m, n - m)
             dm = d[m - 1]
-            np.add(d[:k] + dm, _mat2.mul(d[:k], dm[:5]), out=d[m:m + k])
+            np.add(d[:k] + dm, stack_mul(d[:k], dm[:5]), out=d[m:m + k])
             m += k
     finite = np.isfinite(d).all(axis=(1, 2))
     return d if finite.all() else d[:max(1, int(np.argmin(finite)))]
@@ -399,7 +415,7 @@ def test_step_axis_last_keeps_the_bits(drift, diffusion, dt):
     assert np.array_equal(np.moveaxis(d, -1, 0).view(np.uint64), ref.view(np.uint64))
     z = np.array([0.7, -1.3, 2.1, 0.4, 1.6])
     with np.errstate(all="ignore"):
-        ref_block = z + _mat2.mul(np.append(z, 1.0)[None, :], ref)[:, 0]
+        ref_block = z + stack_mul(np.append(z, 1.0)[None, :], ref)[:, 0]
     block = np.empty(d.shape[1:])
     dynamics._step(z, d, block)
     assert np.array_equal(block.T.view(np.uint64), ref_block.view(np.uint64))
@@ -415,3 +431,26 @@ def test_stacked_diagnostics_equal_report_per_sample():
                           ("entropy_rate", traj.entropy_rate)):
         per_sample = np.array([getattr(r, field) for r in reports])
         assert np.array_equal(per_sample, column), field
+
+
+def test_compose_and_rhs_sigma_are_the_fixed_order_formulas():
+    # Bit for bit, so on every BLAS kernel: compose and compose_diffusion
+    # build (hbar * scale / 2) O^T diag(r^2, r^-2) O, rhs_sigma
+    # Y S + S Y^T + 2 D, each product summed in one fixed order.
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        scale, ratio = rng.uniform(0.5, 5.0), rng.uniform(1.0, 4.0)
+        angle = rng.uniform(0.0, math.pi)
+        c, s = math.cos(angle), math.sin(angle)
+        r = np.float64(ratio)
+        o = np.array([[c, -s], [s, c]])
+        expected = (HBAR * scale / 2.0) * stack_mul(
+            stack_mul(o.T, np.array([[r ** 2, 0.0], [0.0, r ** -2]])), o)
+        for got in (compose(CovDecomposition(scale, ratio, angle), HBAR),
+                    compose_diffusion(DiffDecomposition(scale, ratio, angle), HBAR)):
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        y, sigma, d = rng.normal(size=(3, 2, 2))
+        sigma, d = sigma + sigma.T, d + d.T
+        expected = stack_mul(y, sigma) + stack_mul(sigma, y.T) + 2.0 * d
+        got = rhs_sigma(sigma, y, d)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))

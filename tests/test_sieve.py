@@ -136,6 +136,22 @@ class TestGridSearch:
         min_rate = analytic_minimizer(a, lam, dd).min_rate
         assert abs(rate - min_rate) <= 1e-12 * scale
 
+    def test_mirrored_optimum_reaches_the_formula_to_rounding(self):
+        # A range that brackets only 1/d, where B of the optimum (~2) is the
+        # difference of terms of size ~d**4: a form of B that cancels there
+        # (as B = P + sin^2 * k * (aleph^2 - 1/aleph^2) does) loses the rate.
+        rng = np.random.default_rng(4)
+        worst = 0.0
+        for _ in range(40):
+            d = rng.uniform(5.0, 20.0)
+            dd = diff(delta=rng.uniform(0.2, 2.0), d=d, phi=rng.uniform(0.0, math.pi))
+            a, lam = rng.uniform(1.0, 3.0), rng.uniform(-1.0, 1.0)
+            _, _, rate = grid_search(a, lam, dd, 401, 361, (0.25 / d, 4.0 / d))
+            scale = 2 * dd.Delta / a ** 2 + 2 * abs(lam) / a
+            min_rate = analytic_minimizer(a, lam, dd).min_rate
+            worst = max(worst, abs(rate - min_rate) / scale)
+        assert worst <= 1e-13
+
     def test_bracket_error(self):
         with pytest.raises(ConfigError):
             grid_search(1.0, 0.2, diff(d=3.0), 51, 51, (0.5, 2.0))
