@@ -46,6 +46,14 @@ def spd(m):
     return ok, unit, s, d
 
 
+def check_2x2(m, name, finite=True):
+    """``m`` as floats; :class:`NotSPD` unless one 2x2 matrix, finite if ``finite``."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (2, 2) or finite and not np.isfinite(m).all():
+        raise NotSPD(f"{name} matrix {m.tolist()} is not a finite 2x2 matrix")
+    return m
+
+
 def check_spd(m, name="matrix"):
     """``(unit, s, det(unit))`` of :func:`spd`; :class:`NotSPD` naming the first
     matrix that fails it, or for a shape whose last two axes are not 2x2."""

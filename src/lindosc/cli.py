@@ -289,7 +289,7 @@ def cmd_evolve(cfg):
         with _in_float_range():
             stat = dynamics.stationary_covariance(traj.drift, traj.diffusion)
             summary["stationary_sigma"] = stat.tolist()
-            summary["stationary_distance"] = float(np.linalg.norm(traj.sigma[-1] - stat))
+            summary["stationary_distance"] = math.hypot(*(traj.sigma[-1] - stat).flat)
     _emit(summary, spec["summary_json"])
     return 0
 

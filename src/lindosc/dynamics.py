@@ -113,26 +113,13 @@ def heisenberg_slack(sigma, hbar):
         return s * (s * _mat2.det(unit)) - hbar * _model._positive(hbar) / 4.0
 
 
-def _sigma_generator(drift):
-    """3x3 matrix L with rhs_sigma = L (S11, S12, S22) + 2 (D11, D12, D22).
-
-    Rows are the (11), (12) and (22) components of drift S + S drift^T.
-    """
-    y11, y12 = drift[0]
-    y21, y22 = drift[1]
-    return np.array([
-        [2.0 * y11, 2.0 * y12, 0.0],
-        [y21, y11 + y22, y12],
-        [0.0, 2.0 * y21, 2.0 * y22],
-    ])
-
-
 def _propagator(drift, diffusion, dt):
     """D_1 = A - I, without its zero last column: the ``(6, 5)`` increment of
     one RK4 step of z' = G z + c on the row (z, 1), ``[[M.T], [q]]``.
 
     Here z = (x1, x2, S11, S12, S22), G is block-diagonal with blocks
-    ``drift`` and :func:`_sigma_generator`, and c = 2 * (0, 0, D11, D12, D22).
+    ``drift`` and the 3x3 L with drift S + S drift^T = L (S11, S12, S22),
+    and c = 2 * (0, 0, D11, D12, D22).
     With hG = dt * G, one step is z -> z + (M z + q), where
     M = hG (I + hG/2 + (hG)^2/6 + (hG)^3/24) and
     q = dt (I + hG/2 + (hG)^2/6 + (hG)^3/24) c: the classical RK4 stages of a
@@ -140,9 +127,10 @@ def _propagator(drift, diffusion, dt):
     A map past the float range makes the first step non-finite, which the
     step check reports.
     """
+    (y11, y12), (y21, y22) = drift
     g = np.zeros((5, 5))
     g[:2, :2] = drift
-    g[2:, 2:] = _sigma_generator(drift)
+    g[2:, 2:] = [[2.0 * y11, 2.0 * y12, 0.0], [y21, y11 + y22, y12], [0.0, 2.0 * y21, 2.0 * y22]]
     c = 2.0 * np.array([[0.0], [0.0], [diffusion[0, 0]], [diffusion[0, 1]], [diffusion[1, 1]]])
     eye = np.eye(5)
     hg = dt * g
@@ -317,26 +305,31 @@ def evolve(state, params, t_final, dt, sample_every=1):
                       dt_sample=dt * sample_every)
 
 
-def stationary_covariance(drift, diffusion):
-    """Unique symmetric solution of drift@S + S@drift.T + 2*diffusion = 0.
+#: Largest stationary residual, relative to the terms that cancel in it.
+_STATIONARY_RTOL = 1e-12
 
-    Requires a Hurwitz drift (both eigenvalues with negative real part);
-    raises :class:`~lindosc.errors.NotStable` without one, and when the
-    linear solve is singular, inaccurate or not finite.
+
+def stationary_covariance(drift, diffusion):
+    """Unique symmetric solution S of Y S + S Y^T + 2 D = 0, Y the drift, D the diffusion.
+
+    As Y adj(Y) = det(Y) I, S = (det(Y) D + adj(Y) D adj(Y)^T) / (-tr(Y) det(Y)),
+    here built symmetric on Y and D divided by powers of two: within 1e-14
+    max(S11, S22) max|Y_ij|^2 / det(Y) of the exact S of the same floats.
+    Raises :class:`~lindosc.errors.NotSPD` unless both are 2x2 matrices, and
+    :class:`~lindosc.errors.NotStable` for a drift that is not Hurwitz or a
+    residual whose largest entry passes :data:`_STATIONARY_RTOL` of that of
+    |Y||S| + |S||Y|^T + 2|D| = ``rhs_sigma(|S|, |Y|, |D|)`` (a NaN does).
     """
-    drift = np.asarray(drift, dtype=float)
-    diffusion = np.asarray(diffusion, dtype=float)
+    drift = _mat2.check_2x2(drift, "drift", finite=False)
+    diffusion = _mat2.check_2x2(diffusion, "diffusion", finite=False)
     if not _mat2.hurwitz(drift):
         raise NotStable(f"drift {drift.tolist()} is not Hurwitz")
-
-    b = -2.0 * np.array([diffusion[0, 0], diffusion[0, 1], diffusion[1, 1]])
-    try:
-        s11, s12, s22 = np.linalg.solve(_sigma_generator(drift), b)
-    except np.linalg.LinAlgError as exc:
-        raise NotStable(str(exc)) from exc
-    sigma = np.array([[s11, s12], [s12, s22]])
-
-    residual = np.linalg.norm(rhs_sigma(sigma, drift, diffusion))
-    if not residual <= 1e-10 * max(np.linalg.norm(2.0 * diffusion), 1e-300):  # NaN fails
-        raise NotStable(f"stationary solve residual {residual} too large")
-    return sigma
+    (y, s_y, _), (d, s_d, _) = _mat2.normalize(drift), _mat2.normalize(diffusion)
+    det, adj = _mat2.det(y), _mat2.inv(y, 1.0)
+    m = _mat2.mul(_mat2.mul(adj, d), adj.T)
+    sigma = (det * d + 0.5 * (m + m.T)) / (-(y[0, 0] + y[1, 1]) * det)
+    residual = np.abs(rhs_sigma(sigma, y, d)).max()
+    terms = rhs_sigma(np.abs(sigma), np.abs(y), np.abs(d)).max()
+    if not residual <= _STATIONARY_RTOL * terms:  # NaN fails
+        raise NotStable(f"stationary residual {residual} past {_STATIONARY_RTOL} of terms {terms}")
+    return sigma * (s_d / s_y)

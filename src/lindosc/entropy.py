@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mat2
-from .errors import NotSPD, UnphysicalState
+from .errors import UnphysicalState
 from .model import _positive
 
 #: Areas this far below 1 are treated as rounding noise on a pure state.
@@ -83,10 +83,7 @@ def report(sigma, drift, diffusion, hbar):
     that is not a finite 2x2 matrix (a singular diffusion is valid).  A
     diagnostic past the float range comes out inf or nan, without a warning.
     """
-    drift, diffusion = np.asarray(drift, dtype=float), np.asarray(diffusion, dtype=float)
-    for name, m in (("drift", drift), ("diffusion", diffusion)):
-        if m.shape != (2, 2) or not np.isfinite(m).all():
-            raise NotSPD(f"{name} matrix {m.tolist()} is not a finite 2x2 matrix")
+    drift, diffusion = _mat2.check_2x2(drift, "drift"), _mat2.check_2x2(diffusion, "diffusion")
     unit, s, a, det = _area(np.asarray(sigma, dtype=float), hbar)
     with np.errstate(over="ignore", invalid="ignore"):
         # tr(diffusion inv(sigma)) as the diagonal of the product with

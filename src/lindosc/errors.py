@@ -21,8 +21,8 @@ class ConfigError(LindoscError):
 
 class NotSPD(LindoscError):
     """Covariance or diffusion matrix that is not finite, symmetric and
-    positive definite (such a diffusion has no anisotropy), or a drift or
-    diffusion given to the entropy rates that is not a finite 2x2 matrix."""
+    positive definite (such a diffusion has no anisotropy); a drift or diffusion
+    not a finite 2x2 matrix for the entropy rates, or not 2x2 for ``stationary_covariance``."""
     exit_code = 2
 
 
@@ -32,8 +32,8 @@ class UnphysicalState(LindoscError):
 
 
 class NotStable(LindoscError):
-    """Drift matrix is not Hurwitz, or the stationary-covariance system is
-    numerically singular; no stationary covariance is computed."""
+    """Drift matrix is not Hurwitz, or the stationary covariance's residual is
+    past its bound; no stationary covariance is computed."""
     exit_code = 3
 
 

@@ -8,6 +8,7 @@ matrix and the scaled diffusion matrix that drive the covariance dynamics.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 
@@ -108,7 +109,7 @@ class ValidationReport:
     tolerance: float
     anti_damped: bool
     hurwitz: bool
-    drift_eigenvalues: list  # [[re, im], ...]
+    drift_eigenvalues: list  # [re, im] of -lam + r, -lam - r; r = sqrt((mu - omega)(mu + omega))
 
     def as_dict(self):
         return asdict(self)
@@ -125,7 +126,7 @@ def validate(params):
     d_pp_ok = params.D_pp >= 0
     positivity_ok = slack >= -tol
 
-    drift = build_drift(params)
+    r = cmath.sqrt((params.mu - params.omega) * (params.mu + params.omega))
     return ValidationReport(
         passed=bool(d_qq_ok and d_pp_ok and positivity_ok),
         d_qq_nonnegative=bool(d_qq_ok),
@@ -134,8 +135,9 @@ def validate(params):
         slack=float(slack),
         tolerance=float(tol),
         anti_damped=bool(params.lam < 0),
-        hurwitz=_mat2.hurwitz(drift),
-        drift_eigenvalues=[[z.real, z.imag] for z in np.linalg.eigvals(drift)],
+        hurwitz=_mat2.hurwitz(build_drift(params)),
+        # A real pair's second imaginary part is -0.0, reported as 0.0.
+        drift_eigenvalues=[[z.real, z.imag or 0.0] for z in (-params.lam + r, -params.lam - r)],
     )
 
 

@@ -140,6 +140,19 @@ class TestEvolveCommand:
         assert summary["final_area"] == pytest.approx(delta / lam, abs=1e-6)
         assert summary["stationary_distance"] < 1e-6
 
+    def test_weakly_damped_model_gets_its_stationary_covariance(self, tmp_path):
+        # The stationary residual is measured against the terms that cancel
+        # in it, which grow like omega / lambda; against 2|D| alone, as it
+        # once was, this Hurwitz model was refused with exit 3.
+        config = str(Path(__file__).resolve().parents[1] / "demos" / "config_example.json")
+        summary = tmp_path / "summary.json"
+        assert main(["evolve", "--config", config,
+                     "--set", "model.lambda=1e-5", "--set", "model.omega=30",
+                     "--set", f"evolve.trajectory_csv={tmp_path / 'traj.csv'}",
+                     "--set", f"evolve.summary_json={summary}"]) == 0
+        stat = np.array(json.loads(summary.read_text())["stationary_sigma"])
+        assert stat.shape == (2, 2) and (stat == stat.T).all() and _mat2.spd(stat)[0]
+
     def test_nonpositive_dt_is_usage_error(self, tmp_path):
         config = evolve_config(tmp_path, dt=0.0)
         cfg = write_config(tmp_path, config)
@@ -352,10 +365,11 @@ def test_runs_as_a_module():
     assert out.stdout.strip() == __version__
 
 
-#: The example's evolve, sieve and sweep, and an evolve from a state that
-#: compose builds from (aleph, theta) = (1.62, 1.27): each run's command,
-#: its settings and its files by config key.
-_RUNS = [("evolve", [], {"evolve.trajectory_csv": "trajectory.csv",
+#: The example's validate, evolve, sieve and sweep, and an evolve from a
+#: state that compose builds from (aleph, theta) = (1.62, 1.27): each run's
+#: command, its settings and its files by config key.
+_RUNS = [("validate", [], {"validate.report_json": "validate_report.json"}),
+         ("evolve", [], {"evolve.trajectory_csv": "trajectory.csv",
                          "evolve.summary_json": "evolve_summary.json"}),
          ("sieve", [], {"sieve.summary_json": "sieve_summary.json"}),
          ("sweep", [], {"sweep.landscape_csv": "landscape.csv"}),
@@ -367,30 +381,46 @@ _RUNS = [("evolve", [], {"evolve.trajectory_csv": "trajectory.csv",
 def test_output_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     # OpenBLAS picks its kernel at load from OPENBLAS_CORETYPE, set here in
     # the child's environment only.  Neither the stepping, nor compose, nor
-    # the sieve calls BLAS, so each file of these runs comes out the same
-    # under each kernel.  One child per kernel runs all four.
+    # the sieve, nor the stationary covariance or the drift's eigenvalues
+    # calls BLAS or LAPACK, so each file of these runs comes out the same
+    # under each kernel.  One child per kernel runs them all, and a fifth
+    # runs them with numpy's AVX-512 dispatch off, which it first checks
+    # took effect.  landscape.csv is held to the four kernels only: its axis
+    # comes from np.geomspace, whose dispatched np.log and np.exp give other
+    # last bits without AVX-512.
     root = Path(__file__).resolve().parents[1]
     config = str(root / "demos" / "config_example.json")
-    script = ("import json, sys\nfrom lindosc.cli import main\n"
+    script = ("import json, os, sys\n"
+              "if 'NPY_DISABLE_CPU_FEATURES' in os.environ:\n"
+              "    from numpy._core._multiarray_umath import __cpu_features__\n"
+              "    assert not __cpu_features__['X86_V4'], 'AVX-512 dispatch is still on'\n"
+              "from lindosc.cli import main\n"
               "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    legs = [(core, {"OPENBLAS_CORETYPE": core})
+            for core in ("SkylakeX", "Haswell", "Sandybridge", "Prescott")]
+    legs.append(("no_avx512", {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}))
     digests = {}
-    for core in ("SkylakeX", "Haswell", "Sandybridge", "Prescott"):
-        out_dir = tmp_path / core
+    for leg, settings in legs:
+        out_dir = tmp_path / leg
         out_dir.mkdir()
         runs = [[command, "--config", config]
-                + [arg for setting in settings for arg in ("--set", setting)]
+                + [arg for setting in run_settings for arg in ("--set", setting)]
                 + [arg for key, name in outputs.items()
                    for arg in ("--set", f"{key}={out_dir / name}")]
-                for command, settings, outputs in _RUNS]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_CORETYPE=core)
+                for command, run_settings, outputs in _RUNS]
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        env.update(settings, PYTHONPATH=str(root / "src"))
         out = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         for _, _, outputs in _RUNS:
             for name in outputs.values():
+                if leg == "no_avx512" and name == "landscape.csv":
+                    continue
                 digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                 digests.setdefault(name, set()).add(digest)
-    assert len(digests) == 6 and all(len(d) == 1 for d in digests.values()), digests
+    assert len(digests) == 7 and all(len(d) == 1 for d in digests.values()), digests
 
 
 @pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner", "validate"])

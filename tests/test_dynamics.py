@@ -7,7 +7,7 @@ from lindosc import (CovDecomposition, DiffDecomposition, GaussianState, ModelPa
                      build_drift, build_scaled_diffusion, compose, compose_diffusion, dynamics,
                      entropy, evolve,
                      heisenberg_slack, rhs_sigma, stationary_covariance)
-from lindosc.errors import NotStable, PositivityLost, UnphysicalState
+from lindosc.errors import NotSPD, NotStable, PositivityLost, UnphysicalState
 
 HBAR = 1.0
 
@@ -194,6 +194,18 @@ class TestStationaryCovariance:
         # A NaN residual is not within the bound, so the solve is refused.
         with pytest.raises(NotStable):
             stationary_covariance(-np.eye(2), [[math.nan, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("drift, diffusion", [
+        (-np.eye(3), iso(1.0)), (-np.eye(2), np.eye(3)), (np.ones((1, 2)), iso(1.0))],
+        ids=["3x3_drift", "3x3_diffusion", "1x2_drift"])
+    def test_wrong_shape_is_not_spd(self, drift, diffusion):
+        # The message entropy.report gives for the same drift and diffusion.
+        with pytest.raises(NotSPD) as expected:
+            entropy.report(iso(1.0), drift, diffusion, HBAR)
+        with pytest.raises(NotSPD) as got:
+            stationary_covariance(drift, diffusion)
+        assert str(got.value) == str(expected.value)
 
     def test_random_hurwitz_residual(self):
         rng = np.random.default_rng(17)
