@@ -46,10 +46,10 @@ def spd(m):
     return ok, unit, s, d
 
 
-def check_2x2(m, name, finite=True):
-    """``m`` as floats; :class:`NotSPD` unless one 2x2 matrix, finite if ``finite``."""
+def check_2x2(m, name):
+    """``m`` as floats; :class:`NotSPD` unless one finite 2x2 matrix."""
     m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2) or finite and not np.isfinite(m).all():
+    if m.shape != (2, 2) or not np.isfinite(m).all():
         raise NotSPD(f"{name} matrix {m.tolist()} is not a finite 2x2 matrix")
     return m
 

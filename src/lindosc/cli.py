@@ -10,7 +10,6 @@ is checked against it at load.  Exit codes: 0 success, 1 usage/parse error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -59,7 +58,7 @@ _MAX_SIZE = 10 ** 6
 #: diffusion entry.  The layers form products of two of them (m*omega, det D,
 #: aleph**2) and sum up to four such, which stays finite.  Validate's slack
 #: holds lambda**2 hbar**2, a product of four, which can pass the float
-#: range; _emit then reports the config's error.
+#: range; main then reports the config's error.
 _LARGEST = 2.0 ** 510
 
 # Ranges: (text, test); the test is false for NaN except in _ANY, the range
@@ -178,8 +177,9 @@ def _state(spec, hbar):
 
 def _check_config(config):
     """``config`` checked against ``_SCHEMA`` and the rules between its keys,
-    with defaults filled in, the model, state, its ``area`` (1 without one)
-    and ``wigner.quadrature`` built; raises at the first bad key."""
+    with defaults filled in, the model, its validation ``report``, the state,
+    its ``area`` (1 without one) and ``wigner.quadrature`` built; raises at
+    the first bad key."""
     cfg = _check("", _SCHEMA, None, config)
     doc = cfg["model"]
     diff = doc["diffusion"]
@@ -199,6 +199,7 @@ def _check_config(config):
                          ("scaled diffusion", model.build_scaled_diffusion(params))):
         if not (abs(matrix) <= _LARGEST).all():
             raise ConfigError(f"model {name} {matrix.tolist()} is not within 2**510")
+    cfg["report"] = model.validate(params)
     state, ev, wig = cfg["state"], cfg["evolve"], cfg["wigner"]
     cfg["state"], cfg["area"] = _state(state, params.hbar) if state else (None, 1.0)
     _bound("evolve's step count t_final/dt", ev["t_final"] / ev["dt"])
@@ -235,8 +236,8 @@ def _section(cfg, name):
 def _emit(obj, path=None):
     try:
         text = serialize.dumps({**obj, "version": __version__})
-    except ValueError as exc:  # a result past the float range, not finite
-        raise ConfigError(f"this config asks for a number past the float range ({exc})") from exc
+    except ValueError as exc:  # a float that is not finite: main reports it
+        raise FloatingPointError(exc) from exc
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -245,24 +246,13 @@ def _emit(obj, path=None):
 
 
 def cmd_validate(cfg):
-    report = model.validate(cfg["model"])
+    report = cfg["report"]
     _emit(report.as_dict(), cfg["validate"]["report_json"])
     return 0 if report.passed else 2
 
 
-def _valid_model(cfg):
-    """The config's model and its validation report, which must pass."""
-    params = cfg["model"]
-    report = model.validate(params)
-    if not report.passed:
-        raise UnphysicalState(
-            f"model violates the diffusion positivity constraint (slack {report.slack})")
-    return params, report
-
-
 def cmd_evolve(cfg):
-    params, report = _valid_model(cfg)
-    spec = cfg["evolve"]
+    params, spec = cfg["model"], cfg["evolve"]
     traj = dynamics.evolve(_section(cfg, "state"), params,
                            spec["t_final"], spec["dt"], spec["sample_every"])
     slack = dynamics.heisenberg_slack(traj.sigma[-1], params.hbar)
@@ -285,41 +275,27 @@ def cmd_evolve(cfg):
         "final_sigma": traj.sigma[-1].tolist(),
         "heisenberg_slack": slack,
     }
-    if report.hurwitz:
-        with _in_float_range():
-            stat = dynamics.stationary_covariance(traj.drift, traj.diffusion)
-            summary["stationary_sigma"] = stat.tolist()
-            summary["stationary_distance"] = math.hypot(*(traj.sigma[-1] - stat).flat)
+    if cfg["report"].hurwitz:
+        stat = dynamics.stationary_covariance(traj.drift, traj.diffusion)
+        summary["stationary_sigma"] = stat.tolist()
+        summary["stationary_distance"] = math.hypot(*(traj.sigma[-1] - stat).flat)
     _emit(summary, spec["summary_json"])
     return 0
 
 
 def _grid(cfg, name):
     """The arguments of ``sieve.run_sieve`` and ``sieve.rate_landscape``."""
-    spec = _section(cfg, name)
-    params, _ = _valid_model(cfg)
+    spec, params = _section(cfg, name), cfg["model"]
     diff = decomposition.decompose_diffusion(
         model.build_scaled_diffusion(params), params.hbar)
-    lo, hi = spec["aleph_min"], spec["aleph_max"]
     return (cfg["area"], params.lam, diff, spec["n_aleph"], spec["n_theta"],
-            (diff.d / 4.0 if lo is None else lo, diff.d * 4.0 if hi is None else hi))
-
-
-@contextlib.contextmanager
-def _in_float_range():
-    """A number past the float range inside the block is the config's error."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            yield
-    except (FloatingPointError, OverflowError) as exc:
-        raise ConfigError(f"this config asks for a number past the float range ({exc})") from exc
+            sieve._aleph_range(diff, spec["aleph_min"], spec["aleph_max"]))
 
 
 def cmd_sieve(cfg):
     args = _grid(cfg, "sieve")
     area, _, _, n_aleph, n_theta, (aleph_min, aleph_max) = args
-    with _in_float_range():
-        result = sieve.run_sieve(*args)
+    result = sieve.run_sieve(*args)
     # Angles are equivalent modulo pi: 0 and pi - 1e-13 are 1e-13 apart.
     theta_gap = abs(result.grid_theta - result.theta_star) % math.pi
     _emit({
@@ -339,26 +315,23 @@ def cmd_sieve(cfg):
 
 
 def cmd_sweep(cfg):
-    args = _grid(cfg, "sweep")
-    with _in_float_range():
-        table = sieve.rate_landscape(*args)
+    table = sieve.rate_landscape(*_grid(cfg, "sweep"))
     serialize.write_csv(cfg["sweep"]["landscape_csv"], "aleph,theta,rate", table)
     return 0
 
 
 def cmd_wigner(cfg):
     spec = _section(cfg, "wigner")
-    params, _ = _valid_model(cfg)
     state, quad = _section(cfg, "state"), spec["quadrature"]
     t_value = 0.0
     if spec["t_index"]:
         ev = cfg["evolve"]
-        traj = dynamics.evolve(state, params, ev["t_final"], ev["dt"], ev["sample_every"])
+        traj = dynamics.evolve(state, cfg["model"], ev["t_final"], ev["dt"],
+                               ev["sample_every"])
         state = traj.state(spec["t_index"])
         t_value = float(traj.t[spec["t_index"]])
 
-    with _in_float_range():
-        x1, x2, f = wigner.wigner_grid(state, quad)
+    x1, x2, f = wigner.wigner_grid(state, quad)
     serialize.write_csv(spec["grid_csv"], "x1,x2,f", np.column_stack([
         np.repeat(x1, len(x2)), np.tile(x2, len(x1)), f.ravel()]))
     if spec["sidecar_json"]:
@@ -401,7 +374,16 @@ def main(argv=None):
 
     try:
         cfg = _check_config(_load_config(args.config, args.overrides))
-        return _COMMANDS[args.command](cfg)
+        if args.command != "validate" and not cfg["report"].passed:
+            raise UnphysicalState("model violates the diffusion positivity constraint "
+                                  f"(slack {cfg['report'].slack})")
+        # A number past the float range in a command is the config's error.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command](cfg)
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"error: this config asks for a number past the float range ({exc})",
+              file=sys.stderr)
+        return ConfigError.exit_code
     except (LindoscError, OSError) as exc:
         # OSError: an output file that cannot be written.
         print(f"error: {exc}", file=sys.stderr)

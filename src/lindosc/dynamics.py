@@ -315,13 +315,13 @@ def stationary_covariance(drift, diffusion):
     As Y adj(Y) = det(Y) I, S = (det(Y) D + adj(Y) D adj(Y)^T) / (-tr(Y) det(Y)),
     here built symmetric on Y and D divided by powers of two: within 1e-14
     max(S11, S22) max|Y_ij|^2 / det(Y) of the exact S of the same floats.
-    Raises :class:`~lindosc.errors.NotSPD` unless both are 2x2 matrices, and
+    Raises :class:`~lindosc.errors.NotSPD` unless both are finite 2x2
+    matrices, as :func:`~lindosc.entropy.report` does, and
     :class:`~lindosc.errors.NotStable` for a drift that is not Hurwitz or a
     residual whose largest entry passes :data:`_STATIONARY_RTOL` of that of
-    |Y||S| + |S||Y|^T + 2|D| = ``rhs_sigma(|S|, |Y|, |D|)`` (a NaN does).
+    |Y||S| + |S||Y|^T + 2|D| = ``rhs_sigma(|S|, |Y|, |D|)``.
     """
-    drift = _mat2.check_2x2(drift, "drift", finite=False)
-    diffusion = _mat2.check_2x2(diffusion, "diffusion", finite=False)
+    drift, diffusion = _mat2.check_2x2(drift, "drift"), _mat2.check_2x2(diffusion, "diffusion")
     if not _mat2.hurwitz(drift):
         raise NotStable(f"drift {drift.tolist()} is not Hurwitz")
     (y, s_y, _), (d, s_d, _) = _mat2.normalize(drift), _mat2.normalize(diffusion)

@@ -22,7 +22,7 @@ class ConfigError(LindoscError):
 class NotSPD(LindoscError):
     """Covariance or diffusion matrix that is not finite, symmetric and
     positive definite (such a diffusion has no anisotropy); a drift or diffusion
-    not a finite 2x2 matrix for the entropy rates, or not 2x2 for ``stationary_covariance``."""
+    not a finite 2x2 matrix for the entropy rates or ``stationary_covariance``."""
     exit_code = 2
 
 
@@ -32,8 +32,8 @@ class UnphysicalState(LindoscError):
 
 
 class NotStable(LindoscError):
-    """Drift matrix is not Hurwitz, or the stationary covariance's residual is
-    past its bound; no stationary covariance is computed."""
+    """Finite drift matrix that is not Hurwitz, or a stationary covariance
+    whose residual is past its bound; no stationary covariance is computed."""
     exit_code = 3
 
 

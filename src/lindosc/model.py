@@ -99,7 +99,14 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the model constraint checks; never raised, always returned."""
+    """Outcome of the model constraint checks; never raised, always returned.
+
+    ``hurwitz`` is :func:`_mat2.hurwitz`'s trace < 0 < det, the one test of
+    stability that ``evolve``'s summary and ``stationary_covariance`` apply;
+    ``drift_eigenvalues`` are information only.  Near lam = sqrt(mu**2 -
+    omega**2) their real parts can disagree with it in sign: the small
+    eigenvalue is ill-conditioned in lam, which no float formula removes.
+    """
 
     passed: bool
     d_qq_nonnegative: bool

@@ -71,17 +71,24 @@ def rate_at(aleph, theta, area, lam, diff):
     return float(out) if out.ndim == 0 else out
 
 
+def _representative(aleph, theta):
+    """Of (aleph, theta) and (1/aleph, theta + pi/2), which have the same
+    bracket B, the one with aleph >= 1, its theta reduced to [0, pi)."""
+    if aleph < 1.0:
+        aleph, theta = 1.0 / aleph, theta + math.pi / 2.0
+    theta %= math.pi
+    return aleph, theta if theta < math.pi else 0.0  # -1e-20 % pi is pi
+
+
 def analytic_minimizer(area, lam, diff):
     """Closed-form minimizer of :func:`rate_at` over (aleph, theta).
 
     The optimum matches the diffusion anisotropy: ``aleph = d`` and ``theta =
-    phi``, or for d < 1 its aleph >= 1 representative (1/d, phi + pi/2 mod pi),
-    as in :func:`grid_search`.  For isotropic diffusion (aleph**2 - 1 below
+    phi``, reported in :func:`_representative`'s form, as in
+    :func:`grid_search`.  For isotropic diffusion (aleph**2 - 1 below
     decompose's tolerance) the angle is degenerate and reported as 0 with a flag.
     """
-    aleph, theta = diff.d, diff.phi
-    if aleph < 1.0:
-        aleph, theta = 1.0 / aleph, (theta + math.pi / 2.0) % math.pi
+    aleph, theta = _representative(diff.d, diff.phi)
     degenerate = aleph * aleph - 1.0 < _ISOTROPY_TOL
     return SieveResult(aleph_star=aleph, theta_star=0.0 if degenerate else theta,
                        min_rate=2.0 * (diff.Delta - area * lam) / area ** 2,
@@ -200,8 +207,8 @@ def grid_search(area, lam, diff, n_aleph, n_theta, aleph_range):
     (aleph outer, theta inner), and a NaN cell wins as there.  Safeguarded
     Newton steps on B then refine the cell to rounding level, independently
     of the analytic minimizer and of the area.  Returns
-    ``(aleph, theta, rate)`` at the polished point, with ``aleph >= 1`` and
-    ``theta`` in [0, pi).
+    ``(aleph, theta, rate)`` at the polished point, in
+    :func:`_representative`'s form.
     """
     alephs, thetas = _default_grids(diff, n_aleph, n_theta, aleph_range)
     c2, s2, f_cos, f_sin = _bracket_factors(alephs[:, None], thetas[None, :], diff)
@@ -220,12 +227,7 @@ def grid_search(area, lam, diff, n_aleph, n_theta, aleph_range):
         firsts[k], lows[k] = start * len(thetas) + first, b.flat[first]
     i, j = divmod(int(firsts[np.argmin(lows)]), len(thetas))
     aleph, theta = _polish(float(alephs[i]), float(thetas[j]), diff)
-    rate = rate_at(aleph, theta, area, lam, diff)
-    if aleph < 1.0:
-        # The rate is invariant under (aleph, theta) -> (1/aleph, theta+pi/2);
-        # report the representative matching the aleph >= 1 convention.
-        aleph, theta = 1.0 / aleph, theta + math.pi / 2.0
-    return aleph, theta % math.pi, rate
+    return (*_representative(aleph, theta), rate_at(aleph, theta, area, lam, diff))
 
 
 def rate_landscape(area, lam, diff, n_aleph, n_theta, aleph_range):
@@ -240,9 +242,15 @@ def rate_landscape(area, lam, diff, n_aleph, n_theta, aleph_range):
     return table
 
 
-def run_sieve(area, lam, diff, n_aleph=401, n_theta=361, aleph_range=(0.5, 8.0)):
-    """Analytic minimizer plus the polished grid-search oracle in one record."""
+def _aleph_range(diff, lo=None, hi=None):
+    """``(lo, hi)`` with an unset end d/4 or 4d, which bracket the anisotropy d."""
+    return diff.d / 4.0 if lo is None else lo, diff.d * 4.0 if hi is None else hi
+
+
+def run_sieve(area, lam, diff, n_aleph=401, n_theta=361, aleph_range=(None, None)):
+    """Analytic minimizer plus the polished grid-search oracle in one record;
+    an unset end of ``aleph_range`` is that of :func:`_aleph_range`."""
     analytic = analytic_minimizer(area, lam, diff)
-    g_aleph, g_theta, g_rate = grid_search(area, lam, diff,
-                                           n_aleph, n_theta, aleph_range)
+    g_aleph, g_theta, g_rate = grid_search(area, lam, diff, n_aleph, n_theta,
+                                           _aleph_range(diff, *aleph_range))
     return replace(analytic, grid_aleph=g_aleph, grid_theta=g_theta, grid_rate=g_rate)

@@ -20,7 +20,7 @@ from lindosc import (CovDecomposition, DiffDecomposition, GaussianState,
                      ModelParams, QuadratureSpec, __version__, area,
                      build_scaled_diffusion, compose, compose_diffusion,
                      decompose_diffusion, rate_landscape, wigner_grid)
-from lindosc import _mat2
+from lindosc import _mat2, model
 from lindosc.cli import _MAX_SIZE, _check_config, main
 from lindosc.errors import ConfigError
 
@@ -354,6 +354,18 @@ def test_indefinite_state_is_physics_error(tmp_path, capsys, command):
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner"])
+def test_a_failing_model_is_refused_before_any_command_runs(tmp_path, capsys, command):
+    # The model's verdict is made at load, so it comes before a missing
+    # sweep or wigner section, and nothing is written.
+    config = base_config(tmp_path)
+    config["model"]["lambda"] = 5.0
+    assert main([command, "--config", write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model violates") and err.count("\n") == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_runs_as_a_module():
@@ -698,10 +710,12 @@ def test_sizes_past_the_bound_are_rejected_at_load(tmp_path, section, key, value
 @pytest.mark.parametrize("command", ["validate", "evolve", "sieve", "sweep", "wigner"])
 def test_each_run_builds_the_state_once_at_load(tmp_path, monkeypatch, command):
     example = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
-    built = []
-    check = GaussianState.__post_init__
+    built, validated = [], []
+    check, validate = GaussianState.__post_init__, model.validate
     monkeypatch.setattr(GaussianState, "__post_init__",
                         lambda self: built.append(check(self)))
+    monkeypatch.setattr(model, "validate",
+                        lambda params: validated.append(params) or validate(params))
     argv = [command, "--config", str(example)]
     for key in ("validate.report_json", "evolve.trajectory_csv", "evolve.summary_json",
                 "sieve.summary_json", "sweep.landscape_csv", "wigner.grid_csv",
@@ -709,6 +723,7 @@ def test_each_run_builds_the_state_once_at_load(tmp_path, monkeypatch, command):
         argv += ["--set", f"{key}={tmp_path / key}"]
     assert main(argv) == 0
     assert len(built) == 1
+    assert len(validated) == 1
 
 
 def test_load_checks_the_state_covariance_twice(monkeypatch):

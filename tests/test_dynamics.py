@@ -190,15 +190,11 @@ class TestStationaryCovariance:
                 stationary_covariance(drift, iso(1.0))
 
     @pytest.mark.filterwarnings("error")
-    def test_nan_diffusion_not_stable(self):
-        # A NaN residual is not within the bound, so the solve is refused.
-        with pytest.raises(NotStable):
-            stationary_covariance(-np.eye(2), [[math.nan, 0.0], [0.0, 1.0]])
-
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("drift, diffusion", [
-        (-np.eye(3), iso(1.0)), (-np.eye(2), np.eye(3)), (np.ones((1, 2)), iso(1.0))],
-        ids=["3x3_drift", "3x3_diffusion", "1x2_drift"])
+        (-np.eye(3), iso(1.0)), (-np.eye(2), np.eye(3)), (np.ones((1, 2)), iso(1.0)),
+        (-np.eye(2), [[math.nan, 0.0], [0.0, 1.0]]),
+        ([[-1.0, math.inf], [0.0, -1.0]], iso(1.0))],
+        ids=["3x3_drift", "3x3_diffusion", "1x2_drift", "nan_diffusion", "inf_drift"])
     def test_wrong_shape_is_not_spd(self, drift, diffusion):
         # The message entropy.report gives for the same drift and diffusion.
         with pytest.raises(NotSPD) as expected:

@@ -82,14 +82,43 @@ class TestAnalyticMinimizer:
         assert res.grid_aleph == pytest.approx(2.0, rel=1e-9)
         assert res.grid_theta == pytest.approx(res.theta_star, rel=1e-9)
 
-    def test_default_range_may_bracket_the_inverse_anisotropy(self):
-        # The default range (0.5, 8.0) holds 1/d = 2 but not d = 0.5 itself.
-        res = run_sieve(1.0, 0.2, diff(d=0.5, phi=0.3))
+    def test_a_range_may_bracket_the_inverse_anisotropy_only(self):
+        # The range (0.5, 8.0) holds 1/d = 2 but not d = 0.5 itself.
+        res = run_sieve(1.0, 0.2, diff(d=0.5, phi=0.3), aleph_range=(0.5, 8.0))
         assert (res.aleph_star, res.theta_star) == (2.0, 0.3 + math.pi / 2)
         assert res.grid_aleph == pytest.approx(2.0, rel=1e-9)
         assert res.grid_theta == pytest.approx(res.theta_star, rel=1e-9)
         with pytest.raises(ConfigError, match="bracketing neither"):
             run_sieve(1.0, 0.2, diff(d=0.3, phi=0.3), 51, 51, (0.5, 2.0))
+
+    @pytest.mark.parametrize("d", [0.05, 0.5, 10.0, 300.0])
+    def test_default_range_is_about_the_anisotropy(self, d):
+        # An unset end is d/4 or 4d, as in the CLI, so the default brackets
+        # d for every d; a fixed range such as (0.5, 8.0) holds neither d nor
+        # 1/d for d = 10 or 300.
+        dd = diff(d=d, phi=0.3)
+        res = run_sieve(1.0, 0.1, dd)
+        assert res.grid_rate == pytest.approx(res.min_rate, rel=1e-12)
+        # The point of a minimum is only known to about sqrt(eps).
+        assert res.grid_aleph == pytest.approx(res.aleph_star, rel=1e-7)
+        assert res.grid_theta == pytest.approx(res.theta_star, rel=1e-7)
+        assert sieve._aleph_range(dd) == (d / 4.0, 4.0 * d)
+        assert sieve._aleph_range(dd, 1.0, None) == (1.0, 4.0 * d)
+
+    def test_angle_is_reduced_for_every_anisotropy(self):
+        # phi = 4.0 and 4 - pi are the same diffusion.  With d >= 1 as with
+        # d < 1, the minimizer reports theta in [0, pi), as the grid does.
+        for d in (3.0, 1.0 / 3.0):
+            res = run_sieve(1.0, 0.2, diff(d=d, phi=4.0))
+            assert 0.0 <= res.theta_star < math.pi
+            assert res.grid_theta == pytest.approx(res.theta_star, rel=1e-9)
+        assert analytic_minimizer(1.0, 0.2, diff(d=3.0, phi=4.0)).theta_star == 4.0 - math.pi
+
+    def test_representative(self):
+        assert sieve._representative(0.5, 0.3) == (2.0, 0.3 + math.pi / 2)
+        assert sieve._representative(2.0, 0.3 + math.pi) == (2.0, (0.3 + math.pi) - math.pi)
+        # -1e-20 % pi rounds to pi itself, which is not in [0, pi).
+        assert sieve._representative(2.0, -1e-20) == (2.0, 0.0)
 
     def test_saturated_bound_gives_zero_rate(self):
         res = analytic_minimizer(1.0, 0.8, diff(delta=0.8, d=1.3, phi=0.1))
