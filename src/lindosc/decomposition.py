@@ -72,17 +72,18 @@ def _decompose(m, s, det, hbar):
     if ratio2 - 1.0 < _ISOTROPY_TOL:
         ratio2, angle = 1.0, 0.0
     else:
-        angle = 0.5 * math.atan2(-2.0 * m[0, 1], m[0, 0] - m[1, 1]) % math.pi
-    return 2.0 * sqrt_det / _positive(hbar) * float(s), math.sqrt(ratio2), angle
+        angle = 0.5 * math.atan2(-2.0 * m[0][1], m[0][0] - m[1][1]) % math.pi
+    return 2.0 * sqrt_det / _positive(hbar) * s, math.sqrt(ratio2), angle
 
 
 def _compose(scale, ratio, angle, hbar):
     c, s = math.cos(angle), math.sin(angle)
-    o = np.array([[c, -s], [s, c]])
-    ratio = np.float64(ratio)  # squared past the float range: inf, not OverflowError
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = ((_positive(hbar) * scale / 2.0)
-             * _mat2.mul(_mat2.mul(o.T, np.diag([ratio ** 2, ratio ** -2])), o))
+    o = ((c, -s), (s, c))
+    with np.errstate(over="ignore"):  # squared past the float range: inf, not OverflowError
+        diag = ((float(np.float64(ratio) ** 2), 0.0), (0.0, float(np.float64(ratio) ** -2)))
+    o_t_diag = [[_mat2.dot(row, col) for col in diag] for row in zip(*o)]  # diag = diag^T
+    k = _positive(hbar) * scale / 2.0
+    m = np.array([[k * _mat2.dot(row, col) for col in zip(*o)] for row in o_t_diag])
     if not np.isfinite(m).all():
         raise ConfigError(f"scale {scale}, squeezing or anisotropy {ratio} and "
                           f"angle {angle} compose to a matrix that is not finite")
@@ -91,7 +92,6 @@ def _compose(scale, ratio, angle, hbar):
 
 def decompose(m, hbar):
     """Decompose an SPD covariance matrix into (A, aleph, theta)."""
-    m = np.asarray(m, dtype=float)
     return CovDecomposition(*_decompose(*_mat2.check_spd(m, "covariance"), hbar))
 
 
@@ -102,9 +102,7 @@ def compose(dec, hbar):
 
 def decompose_diffusion(d_matrix, hbar):
     """Decompose an SPD scaled diffusion matrix into (Delta, d, phi)."""
-    d_matrix = np.asarray(d_matrix, dtype=float)
-    return DiffDecomposition(
-        *_decompose(*_mat2.check_spd(d_matrix, "diffusion matrix"), hbar))
+    return DiffDecomposition(*_decompose(*_mat2.check_spd(d_matrix, "diffusion matrix"), hbar))
 
 
 def compose_diffusion(dec, hbar):

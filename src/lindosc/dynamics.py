@@ -32,8 +32,8 @@ packed state per column.  Each doubling product and each block fill is then
 a few operations on slabs whose inner loops run along the steps.  Every
 product here is a :func:`_mat2.dot`, in its fixed order, so a trajectory's
 bytes do not depend on the host's BLAS kernel.  Each block is checked at
-once by :func:`_mat2.spd`, the package's one test of a covariance, on a
-strided view of its covariance rows, and the entropy diagnostics of all
+once by :func:`_mat2.spd`, the package's one test of a covariance, whose
+entries are the block's covariance rows, and the entropy diagnostics of all
 samples are computed in one call over the sample stack.
 """
 
@@ -97,9 +97,11 @@ class Trajectory:
 
 
 def rhs_sigma(sigma, drift, diffusion):
-    """Right-hand side of the covariance ODE at one 2x2 ``sigma``; symmetric if it is."""
-    sigma = np.reshape(sigma, (2, 2))  # a stack raises, not a wrong product
-    return _mat2.mul(drift, sigma) + _mat2.mul(sigma, drift.T) + 2.0 * diffusion
+    """Right-hand side of the covariance ODE at one 2x2 ``sigma``, not a stack
+    (``ValueError``); symmetric if it is."""
+    s, y, d = (np.asarray(m, dtype=float).reshape(2, 2).tolist() for m in (sigma, drift, diffusion))
+    return np.array([[_mat2.dot(y[i], col) + _mat2.dot(s[i], y[j]) + 2.0 * d[i][j]
+                      for j, col in enumerate(zip(*s))] for i in range(2)])
 
 
 def heisenberg_slack(sigma, hbar):
@@ -107,10 +109,10 @@ def heisenberg_slack(sigma, hbar):
 
     The determinant is taken on sigma scaled by a power of two, so a
     covariance whose determinant exceeds the float range gives inf, not nan.
+    Raises :class:`~lindosc.errors.NotSPD` unless sigma is one finite 2x2 matrix.
     """
-    unit, s, _ = _mat2.normalize(np.asarray(sigma, dtype=float))
-    with np.errstate(over="ignore"):
-        return s * (s * _mat2.det(unit)) - hbar * _model._positive(hbar) / 4.0
+    unit, s, _ = _mat2.normalize(_mat2.check_2x2(sigma, "covariance"))
+    return s * (s * _mat2.det(unit)) - hbar * _model._positive(hbar) / 4.0
 
 
 def _propagator(drift, diffusion, dt):
@@ -131,14 +133,16 @@ def _propagator(drift, diffusion, dt):
     g = np.zeros((5, 5))
     g[:2, :2] = drift
     g[2:, 2:] = [[2.0 * y11, 2.0 * y12, 0.0], [y21, y11 + y22, y12], [0.0, 2.0 * y21, 2.0 * y22]]
-    c = 2.0 * np.array([[0.0], [0.0], [diffusion[0, 0]], [diffusion[0, 1]], [diffusion[1, 1]]])
+    c = 2.0 * np.array([0.0, 0.0, diffusion[0, 0], diffusion[0, 1], diffusion[1, 1]])
     eye = np.eye(5)
     hg = dt * g
+    columns = hg.T[:, :, None]  # hg @ b is dot(columns, b[:, None, :])
     d1 = np.empty((6, 5))
     with np.errstate(all="ignore"):
-        series = eye + _mat2.mul(hg, eye / 2.0 + _mat2.mul(hg, eye / 6.0 + hg / 24.0))
-        d1[:5] = _mat2.mul(hg, series).T
-        d1[5] = dt * _mat2.mul(series, c)[:, 0]
+        inner = eye / 2.0 + _mat2.dot(columns, (eye / 6.0 + hg / 24.0)[:, None, :])
+        series = eye + _mat2.dot(columns, inner[:, None, :])
+        d1[:5] = _mat2.dot(columns, series[:, None, :]).T
+        d1[5] = dt * _mat2.dot(series.T, c)
     return d1
 
 
@@ -224,13 +228,10 @@ def _kept(z, block):
 def _first_failure(block):
     """Index of the first column of ``block`` ``(5, n)`` that
     :class:`GaussianState` rejects, its mean not finite or its covariance
-    failing :func:`_mat2.spd`; else None.  The covariances are a strided view
-    of the rows S11, S12 and S22, entry (i, j) row 2 + i + j, with no copy."""
-    s0, s1 = block.strides
-    sigma = np.lib.stride_tricks.as_strided(block[2:], (block.shape[1], 2, 2), (s1, s0, s0),
-                                            writeable=False)
+    failing :func:`_mat2.spd`; else None.  The covariances' entries are the
+    rows S11, S12 and S22, entry (i, j) row 2 + i + j."""
     ok = np.isfinite(block[0]) & np.isfinite(block[1])
-    ok &= _mat2.spd(sigma)[0]
+    ok &= _mat2.spd(((block[2], block[3]), (block[3], block[4])))[0]
     return None if ok.all() else int(np.argmin(ok))
 
 
@@ -323,11 +324,13 @@ def stationary_covariance(drift, diffusion):
     """
     drift, diffusion = _mat2.check_2x2(drift, "drift"), _mat2.check_2x2(diffusion, "diffusion")
     if not _mat2.hurwitz(drift):
-        raise NotStable(f"drift {drift.tolist()} is not Hurwitz")
+        raise NotStable(f"drift {drift} is not Hurwitz")
     (y, s_y, _), (d, s_d, _) = _mat2.normalize(drift), _mat2.normalize(diffusion)
     det, adj = _mat2.det(y), _mat2.inv(y, 1.0)
-    m = _mat2.mul(_mat2.mul(adj, d), adj.T)
-    sigma = (det * d + 0.5 * (m + m.T)) / (-(y[0, 0] + y[1, 1]) * det)
+    adj_d = [[_mat2.dot(row, col) for col in zip(*d)] for row in adj]
+    m = [[_mat2.dot(row, adj_row) for adj_row in adj] for row in adj_d]  # adj d adj^T
+    sigma = (np.array([[det * d[i][j] + 0.5 * (m[i][j] + m[j][i]) for j in range(2)]
+                       for i in range(2)]) / (-(y[0][0] + y[1][1]) * det))
     residual = np.abs(rhs_sigma(sigma, y, d)).max()
     terms = rhs_sigma(np.abs(sigma), np.abs(y), np.abs(d)).max()
     if not residual <= _STATIONARY_RTOL * terms:  # NaN fails

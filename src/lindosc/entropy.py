@@ -38,7 +38,8 @@ def _area(sigma, hbar):
     """``(unit, s, A / s, det unit)`` for one covariance or a stack, where
     ``(unit, s, det unit)`` is :func:`_mat2.check_spd` of ``sigma``.  A = 2
     sqrt(det sigma) / hbar is formed in units of ``s``, exactly, because det
-    sigma overflows for entries past about 1.3e154 while A does not."""
+    sigma overflows for entries past about 1.3e154 while A does not.  A is a
+    numpy float for one covariance too, so past the float range it is inf."""
     unit, s, det = _mat2.check_spd(sigma, "covariance")
     return unit, s, 2.0 * np.sqrt(det) / _positive(hbar), det
 
@@ -46,7 +47,7 @@ def _area(sigma, hbar):
 def area(sigma, hbar):
     """Phase-space area A = (2/hbar) sqrt(det sigma); 1 for pure states, and
     inf past the float range."""
-    _, s, a, _ = _area(np.asarray(sigma, dtype=float), hbar)
+    _, s, a, _ = _area(sigma, hbar)
     with np.errstate(over="ignore"):
         return float(s * a)
 
@@ -84,17 +85,17 @@ def report(sigma, drift, diffusion, hbar):
     diagnostic past the float range comes out inf or nan, without a warning.
     """
     drift, diffusion = _mat2.check_2x2(drift, "drift"), _mat2.check_2x2(diffusion, "diffusion")
-    unit, s, a, det = _area(np.asarray(sigma, dtype=float), hbar)
+    unit, s, a, det = _area(sigma, hbar)
     with np.errstate(over="ignore", invalid="ignore"):
         # tr(diffusion inv(sigma)) as the diagonal of the product with
         # inv(unit) = s * inv(sigma), then / s: only the sum can overflow.
-        inv = _mat2.inv(unit, det).T
-        tr_d_inv = ((diffusion[0, 0] * inv[0, 0] + diffusion[0, 1] * inv[0, 1])
-                    + (diffusion[1, 0] * inv[1, 0] + diffusion[1, 1] * inv[1, 1])) / s
+        inv = _mat2.inv(unit, det)
+        tr_d_inv = ((diffusion[0][0] * inv[0][0] + diffusion[0][1] * inv[1][0])
+                    + (diffusion[1][0] * inv[0][1] + diffusion[1][1] * inv[1][1])) / s
         # dA/dt and ds/dt = (dA/dt) / A**2 in units of s, where A**2 cannot
         # overflow for hbar near 1: both are the unscaled formulas times a
         # power of two.
-        da = a * ((drift[0, 0] + drift[1, 1]) + tr_d_inv)
+        da = a * ((drift[0][0] + drift[1][1]) + tr_d_inv)
         area_ = s * a
         return EntropyReport(area=area_,
                              lin_entropy=np.maximum(1.0 - 1.0 / area_, 0.0),

@@ -14,15 +14,17 @@ class LindoscError(Exception):
 class ConfigError(LindoscError):
     """Malformed configuration; a value type (``ModelParams``, the two
     decompositions, ``QuadratureSpec``) with a field out of range; an hbar
-    that is not positive, finite and normal; a matrix composed past the
-    float range; a sieve grid that is empty or does not bracket the
-    optimum; or a quadrature box too narrow for the Gaussian."""
+    that is not positive, finite and normal, or such an ``fp_residual`` step
+    ``h_x``; a matrix composed past the float range; a sieve grid that is
+    empty or does not bracket the optimum; or a quadrature box too narrow
+    for the Gaussian."""
 
 
 class NotSPD(LindoscError):
     """Covariance or diffusion matrix that is not finite, symmetric and
     positive definite (such a diffusion has no anisotropy); a drift or diffusion
-    not a finite 2x2 matrix for the entropy rates or ``stationary_covariance``."""
+    not a finite 2x2 matrix for the entropy rates or ``stationary_covariance``;
+    a covariance not a finite 2x2 matrix for ``heisenberg_slack``."""
     exit_code = 2
 
 

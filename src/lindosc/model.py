@@ -142,7 +142,7 @@ def validate(params):
         slack=float(slack),
         tolerance=float(tol),
         anti_damped=bool(params.lam < 0),
-        hurwitz=_mat2.hurwitz(build_drift(params)),
+        hurwitz=_mat2.hurwitz(build_drift(params).tolist()),
         # A real pair's second imaginary part is -0.0, reported as 0.0.
         drift_eigenvalues=[[z.real, z.imag or 0.0] for z in (-params.lam + r, -params.lam - r)],
     )

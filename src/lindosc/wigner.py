@@ -5,11 +5,11 @@ the package: ``x1 = sqrt(m*omega) * q`` and ``x2 = p / sqrt(m*omega)``, so
 the covariance entering the Gaussian is exactly ``GaussianState.sigma``.
 
 Every density goes through one preamble, :func:`_density`, which checks and
-inverts one covariance or a stack of them at once, on the covariance scaled
-by a power of two so that its determinant cannot overflow, and one expression,
-:func:`_gaussian`, which evaluates points as arrays.  :func:`fp_residual`
-evaluates its whole finite-difference stencil over three samples in one
-call, and :func:`wigner_grid` forms its grid in one preallocated array.
+inverts one covariance on Python floats, on the covariance scaled by a power
+of two so that its determinant cannot overflow, and one expression,
+:func:`_gaussian`, which evaluates a point as floats or points as arrays.
+:func:`fp_residual` evaluates its eleven points one at a time as floats, and
+:func:`wigner_grid` forms its grid in one array.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 
 from . import _mat2
 from .errors import ConfigError
+from .model import _positive
 
 
 @dataclass(frozen=True)
@@ -37,34 +38,37 @@ class QuadratureSpec:
 
 
 def _density(sigma):
-    """``(inv, shift, norm)`` of the Gaussian with covariance ``sigma``, or of
-    each matrix of a stack ``(n, 2, 2)``, after one SPD check per matrix: half
-    the inverse covariance, ``ldexp(inv, shift)``, and ``2 pi sqrt(det sigma)``.
+    """``(inv, shift, norm)`` of the Gaussian with the one covariance
+    ``sigma``, after its SPD check: half the inverse covariance,
+    ``ldexp(inv, shift)``, as entries, and ``2 pi sqrt(det sigma)``.
 
     ``inv`` is inv(sigma / s) times the power of two that takes det(sigma / s)
     into [0.5, 1), so its entries are below 4.  The scalings are exact: in-range
     results are the plain formulas', and the density stays finite where the
     inverse covariance or det sigma passes the float range."""
     unit, s, det = _mat2.check_spd(sigma, "covariance")
-    frac, exponent = np.frexp(det)
-    shift = -exponent - np.frexp(s)[1]  # 2 s = 2**frexp(s)[1]
-    return _mat2.inv(unit, frac), shift, np.sqrt((2.0 * math.pi) ** 2 * det) * s
+    frac, exponent = math.frexp(det)
+    shift = -exponent - math.frexp(s)[1]  # 2 s = 2**frexp(s)[1]
+    return _mat2.inv(unit, frac), shift, math.sqrt((2.0 * math.pi) ** 2 * det) * s
 
 
-def _gaussian(inv, shift, norm, dx1, dx2, out=None):
-    """``exp(-q / 2) / norm`` with ``q / 2 = dx^T ldexp(inv, shift) dx``, over
-    the broadcast of ``dx1``, ``dx2`` and a stack of ``inv``; in ``out`` if
-    given.  ``-q / 2`` is summed as ``(-2 inv01 dx1) dx2 - inv00 dx1**2 -
-    inv11 dx2**2``, then scaled by ``2**shift``: exactly, or to -inf (density
-    0) past the float range."""
-    q = np.multiply(-2.0 * inv[..., 0, 1] * dx1, dx2, out=out)
-    q -= inv[..., 0, 0] * dx1 ** 2
-    q -= inv[..., 1, 1] * dx2 ** 2
-    with np.errstate(over="ignore"):  # q or the density past the float range
-        np.ldexp(q, shift, out=q)
-        np.exp(q, out=q)
-        q /= norm
-    return q
+def _gaussian(inv, shift, norm, dx1, dx2):
+    """``exp(-q / 2) / norm``, ``q / 2 = dx^T ldexp(inv, shift) dx``, for floats
+    ``dx1``, ``dx2`` or over their broadcast as arrays: ``-q / 2`` summed as
+    ``(-2 inv01 dx1) dx2 - inv00 dx1**2 - inv11 dx2**2``, then scaled by
+    ``2**shift``, exactly or to -inf (density 0) past the float range."""
+    q = -2.0 * inv[0][1] * dx1 * dx2
+    q -= inv[0][0] * (dx1 * dx1)
+    q -= inv[1][1] * (dx2 * dx2)
+    if isinstance(q, np.ndarray):
+        with np.errstate(over="ignore"):  # q or the density past the float range
+            np.exp(np.ldexp(q, shift, out=q), out=q)
+            q /= norm
+        return q
+    try:
+        return math.exp(math.ldexp(q, shift)) / norm
+    except OverflowError:  # q past the float range
+        return (0.0 if q < 0.0 else math.inf) / norm
 
 
 def wigner_eval(state, point):
@@ -85,14 +89,13 @@ def wigner_grid(state, spec):
     standard deviation of the state.
     """
     inv, shift, norm = _density(state.sigma)
-    half = spec.n_sigma * math.sqrt(_mat2.spectrum(state.sigma)[2])
+    half = spec.n_sigma * math.sqrt(_mat2.spectrum(state.sigma.tolist())[2])
 
     x1 = state.mean[0] + np.linspace(-half, half, spec.n_points)
     x2 = state.mean[1] + np.linspace(-half, half, spec.n_points)
     dx1 = x1[:, None] - state.mean[0]
     dx2 = x2[None, :] - state.mean[1]
-    f = _gaussian(inv, shift, norm, dx1, dx2, out=np.empty((len(x1), len(x2))))
-    return x1, x2, f
+    return x1, x2, _gaussian(inv, shift, norm, dx1, dx2)
 
 
 def _trapezoid_weights(x):
@@ -112,46 +115,40 @@ def wigner_normalization(state, spec):
     return float(_trapezoid_weights(x1) @ f @ _trapezoid_weights(x2))
 
 
-#: Offsets of :func:`fp_residual`'s points in units of ``h_x``, and the
-#: sample each is evaluated on (0, 1, 2 for t - 1, t, t + 1): the point
-#: itself at t -/+ 1, then the nine-point stencil at t (centre, +e1, +e2,
-#: -e1, -e2, and the corners ++, +-, -+, --).
-_STENCIL = np.array([[0, 0], [0, 0],
-                     [0, 0], [1, 0], [0, 1], [-1, 0], [0, -1],
-                     [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
-_SAMPLE = np.array([0, 2] + [1] * 9)
-
-
 def fp_residual(trajectory, point, t_index, h_x):
     """Finite-difference residual of the phase-space transport equation.
 
     The evolved Gaussian solves ``df/dt = -sum_ij Y_ij d_i (x_j f) +
     sum_ij D_ij d_i d_j f`` with the trajectory's drift Y and diffusion D;
     the returned residual vanishes as O(dt**2 + h_x**2).  ``t_index`` must be
-    interior so the time derivative can use adjacent samples.
+    interior so the time derivative can use adjacent samples, and ``h_x``
+    positive and finite (:class:`ConfigError` otherwise).  The eleven
+    densities and the sums are Python floats.
     """
     if not 0 < t_index < len(trajectory) - 1:
         raise IndexError(f"t_index {t_index} is not interior to the trajectory")
+    _positive(h_x, "h_x")
 
-    window = slice(t_index - 1, t_index + 2)
-    inv, shift, norm = _density(trajectory.sigma[window])
-    points = np.asarray(point, dtype=float) + h_x * _STENCIL
-    dx = points - trajectory.mean[window][_SAMPLE]
-    f = _gaussian(inv[_SAMPLE], shift[_SAMPLE], norm[_SAMPLE], dx[:, 0], dx[:, 1])
+    def density(k):  # of sample k, as a function of a point (x1, x2)
+        inv, shift, norm = _density(trajectory.sigma[k])
+        m1, m2 = trajectory.mean[k].tolist()
+        return lambda x: _gaussian(inv, shift, norm, x[0] - m1, x[1] - m2)
 
-    # The sums below are a few scalars each: Python floats beat numpy calls.
-    f, x = f.tolist(), points.tolist()
+    before, f, after = (density(k) for k in range(t_index - 1, t_index + 2))
+    x = tuple(np.asarray(point, dtype=float).tolist())
     y, d = trajectory.drift.tolist(), trajectory.diffusion.tolist()
-    dfdt = (f[1] - f[0]) / (2.0 * trajectory.dt_sample)
-    # sum_ij Y_ij d_i (x_j f) by central differences of g_j(x) = x_j * f(x);
-    # rows 3 + i and 5 + i of the stencil are the point + h_x e_i and - h_x e_i.
-    drift_term = 0.0
+    plus = ((x[0] + h_x, x[1]), (x[0], x[1] + h_x))  # the point + h_x e_i
+    minus = ((x[0] - h_x, x[1]), (x[0], x[1] - h_x))
+    f_x, f_plus, f_minus = f(x), [f(p) for p in plus], [f(p) for p in minus]
+    dfdt = (after(x) - before(x)) / (2.0 * trajectory.dt_sample)
+    # sum_ij Y_ij d_i (x_j f) by central differences of g_j(x) = x_j * f(x).
+    drift_term = diff_term = 0.0
     for i in range(2):
         for j in range(2):
-            drift_term += y[i][j] * (x[3 + i][j] * f[3 + i]
-                                     - x[5 + i][j] * f[5 + i]) / (2.0 * h_x)
-    diff_term = 0.0
-    for i in range(2):
-        diff_term += d[i][i] * (f[3 + i] - 2.0 * f[2] + f[5 + i]) / h_x ** 2
-    diff_term += 2.0 * d[0][1] * (f[7] - f[8] - f[9] + f[10]) / (4.0 * h_x ** 2)
+            drift_term += y[i][j] * (plus[i][j] * f_plus[i]
+                                     - minus[i][j] * f_minus[i]) / (2.0 * h_x)
+        diff_term += d[i][i] * (f_plus[i] - 2.0 * f_x + f_minus[i]) / h_x ** 2
+    # The corners ++, +-, -+ and --.
+    pp, pm, mp, mm = (f((x[0] + a, x[1] + b)) for a in (h_x, -h_x) for b in (h_x, -h_x))
+    diff_term += 2.0 * d[0][1] * (pp - pm - mp + mm) / (4.0 * h_x ** 2)
     return dfdt + drift_term - diff_term

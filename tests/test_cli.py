@@ -377,17 +377,30 @@ def test_runs_as_a_module():
     assert out.stdout.strip() == __version__
 
 
-#: The example's validate, evolve, sieve and sweep, and an evolve from a
-#: state that compose builds from (aleph, theta) = (1.62, 1.27): each run's
-#: command, its settings and its files by config key.
+#: The example's validate, evolve, sieve, sweep and wigner, and an evolve
+#: from a state that compose builds from (aleph, theta) = (1.62, 1.27): each
+#: run's command, its settings and its files by config key.
 _RUNS = [("validate", [], {"validate.report_json": "validate_report.json"}),
          ("evolve", [], {"evolve.trajectory_csv": "trajectory.csv",
                          "evolve.summary_json": "evolve_summary.json"}),
          ("sieve", [], {"sieve.summary_json": "sieve_summary.json"}),
          ("sweep", [], {"sweep.landscape_csv": "landscape.csv"}),
+         ("wigner", [], {"wigner.grid_csv": "wigner.csv",
+                         "wigner.sidecar_json": "wigner_meta.json"}),
          ("evolve", ["state.aleph=1.62", "state.theta=1.27"],
           {"evolve.trajectory_csv": "composed_trajectory.csv",
            "evolve.summary_json": "composed_summary.json"})]
+
+#: SHA-256 of each file that does not depend on numpy's SIMD dispatch.
+_DIGESTS = {
+    "validate_report.json": "fe34ff99c0b3df6c6dd1ab50518c5a621600c485689f75a929274051fd764e5c",
+    "trajectory.csv": "b8960c86887d7084f31419e5f6b257aef821d2bec0a62f296f4620d3bb2d894e",
+    "evolve_summary.json": "da514b9c4a6d5689dc244ceef66f61e19a97f0a9ac8d3a3dbd18e4155fcffbc6",
+    "sieve_summary.json": "189e1da266e61d3dedebe27a195e43f39b835788db40dc09492865a23a83610a",
+    "wigner_meta.json": "6e5e5a8622594f9c2b6102d6ddf58ecaa005a546af5c58a95ebcd8cdb09bfbaf",
+    "composed_trajectory.csv": "ea7f34a53e06f70bdf241c1d66d901488098319d7afda507d4ac51acc1457711",
+    "composed_summary.json": "8de5cb2586433fa67bede80ce857406b7350847fdc1e7d885463bb1a944e07cf",
+}
 
 
 def test_output_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
@@ -397,9 +410,10 @@ def test_output_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     # calls BLAS or LAPACK, so each file of these runs comes out the same
     # under each kernel.  One child per kernel runs them all, and a fifth
     # runs them with numpy's AVX-512 dispatch off, which it first checks
-    # took effect.  landscape.csv is held to the four kernels only: its axis
-    # comes from np.geomspace, whose dispatched np.log and np.exp give other
-    # last bits without AVX-512.
+    # took effect.  landscape.csv and wigner.csv are held to the four kernels
+    # only: landscape.csv's axis comes from np.geomspace, and wigner.csv's
+    # densities from np.exp, whose dispatched loops give other last bits
+    # without AVX-512.  Every other file has the digest in _DIGESTS.
     root = Path(__file__).resolve().parents[1]
     config = str(root / "demos" / "config_example.json")
     script = ("import json, os, sys\n"
@@ -428,11 +442,12 @@ def test_output_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
         assert out.returncode == 0, out.stderr
         for _, _, outputs in _RUNS:
             for name in outputs.values():
-                if leg == "no_avx512" and name == "landscape.csv":
+                if leg == "no_avx512" and name in ("landscape.csv", "wigner.csv"):
                     continue
                 digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                 digests.setdefault(name, set()).add(digest)
-    assert len(digests) == 7 and all(len(d) == 1 for d in digests.values()), digests
+    assert len(digests) == 9 and all(len(d) == 1 for d in digests.values()), digests
+    assert {name: digests[name].pop() for name in _DIGESTS} == _DIGESTS
 
 
 @pytest.mark.parametrize("command", ["evolve", "sieve", "sweep", "wigner", "validate"])
@@ -655,6 +670,7 @@ def test_every_config_ends_in_a_documented_exit(command, in_file, overrides,
     ("evolve", 'state.sigma={"S11": 1}'),
     ("evolve", "evolve.dtt=1"),
     ("evolve", "=1"),
+    ("evolve", "evolve.dt"),
     ("evolve", "evolve.dt.x=1"),
     ("sieve", "model.diffusion.D_qq=1e300"),
     ("sieve", "model.diffusion.D_qq=1e307"),

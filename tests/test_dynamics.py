@@ -233,6 +233,15 @@ class TestHeisenbergSlack:
         with np.errstate(all="raise"):
             assert heisenberg_slack(sigma, HBAR) == np.inf
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", [
+        np.eye(3), np.ones((1, 2)), np.stack([iso(1.0), iso(2.0)]),
+        [[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]]],
+        ids=["3x3", "1x2", "stack", "inf", "nan"])
+    def test_not_one_finite_2x2_matrix_is_not_spd(self, sigma):
+        with pytest.raises(NotSPD, match="not a finite 2x2 matrix"):
+            heisenberg_slack(sigma, HBAR)
+
 
 # The hand-unrolled RK4 step that the affine propagator replaced, kept as the
 # reference: same scheme, different rounding.
