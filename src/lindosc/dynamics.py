@@ -10,22 +10,24 @@ keeps trajectories bit-reproducible for identical inputs.
 
 The joint system on z = (x1, x2, S11, S12, S22) is linear with constant
 coefficients, so one RK4 step is the affine map z -> z + (M z + q), with M
-and q built once per run from the 5x5 generator (Van Loan, "Computing
-integrals involving the matrix exponential", IEEE TAC 23, 1978).  On the row
-(z, 1) that step is one 6x6 matrix A, and k steps are A^k.  Each run builds
-the increments D_k = A^k - I, k = 1 ... B, once, by the doubling
-D_(j+m) = D_j + D_m + D_j D_m in log2(B) batched products (the squaring of
-Higham, "The scaling and squaring method for the matrix exponential
-revisited", SIAM J. Matrix Anal. Appl. 26, 2005), and fills each block of B
-steps at once as z + (z, 1) D_k.  The increment form keeps each
-step's rounding relative to its increment; the power form (z, 1) A^k
-drifts.  A step's rounding is still a few ulp of z, the block's start, so a
-block ends early at its first step whose mean or covariance has fallen far
-below z's: a run that relaxes from a broad state keeps each step accurate
-to its own size.  The stack ends before its first D_k that is not finite,
-so a run that grows past the float range is stepped in shorter blocks, and
-its steps overflow where the step-by-step map would, not where the stack
-does.
+and q built from the 5x5 generator (Van Loan, "Computing integrals involving
+the matrix exponential", IEEE TAC 23, 1978).  On the row (z, 1) that step is
+one 6x6 matrix A, and k steps are A^k.  The increments D_k = A^k - I,
+k = 1 ... B, are built by the doubling D_(j+m) = D_j + D_m + D_j D_m in
+log2(B) batched products (the squaring of Higham, "The scaling and squaring
+method for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26,
+2005), and each block of B steps is filled at once as z + (z, 1) D_k.  The
+stack does not depend on the state, so :func:`_stack` keeps the last two,
+read-only, keyed by the exact bits of the drift, the diffusion and dt and by
+B: runs of many states under one model and dt build it once, at 245 kB per
+stack.  The increment form keeps each step's rounding relative to its
+increment; the power form (z, 1) A^k drifts.  A step's rounding is still a
+few ulp of z, the block's start, so a block ends early at its first step
+whose mean or covariance has fallen far below z's: a run that relaxes from a
+broad state keeps each step accurate to its own size.  The stack ends before
+its first D_k that is not finite, so a run that grows past the float range is
+stepped in shorter blocks, and its steps overflow where the step-by-step map
+would, not where the stack does.
 
 The step axis is last: the stack is ``(6, 5, B)``, a block ``(5, B)``, one
 packed state per column.  Each doubling product and each block fill is then
@@ -40,6 +42,7 @@ samples are computed in one call over the sample stack.
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,6 +246,32 @@ _BLOCK = 1024
 _SHRINK = 1.0 / 16.0
 
 
+#: The stacks of the last two keys of :func:`_stack`, least recently used
+#: first, and the lock that makes each look-up, build and store one step.
+_STACKS = {}
+_STACKS_LOCK = threading.Lock()
+
+
+def _stack(drift, diffusion, dt, n):
+    """The read-only stack of :func:`_increments` of ``n`` steps of ``dt``
+    from the float64 ``drift`` and ``diffusion``, kept for the last two keys:
+    the bytes of both matrices, so ``-0.0`` and ``0.0`` apart, dt as a float,
+    which for a positive dt is its bits, and ``n``.  The least recently used
+    stack is dropped before a new one is built, so at most two, 2 x 245 kB,
+    are held.  Runs of many states under one model, as the coarse and fine
+    runs of a certificate, build each stack once."""
+    key = (drift.tobytes(), diffusion.tobytes(), float(dt), n)
+    with _STACKS_LOCK:
+        d = _STACKS.pop(key, None)
+        if d is None:
+            if len(_STACKS) == 2:
+                del _STACKS[next(iter(_STACKS))]
+            d = _increments(_propagator(drift, diffusion, dt), n)
+            d.setflags(write=False)
+        _STACKS[key] = d
+    return d
+
+
 def evolve(state, params, t_final, dt, sample_every=1):
     """Integrate the model from ``state`` and record sampled diagnostics.
 
@@ -268,7 +297,8 @@ def evolve(state, params, t_final, dt, sample_every=1):
     drift = _model.build_drift(params)
     diffusion = _model.build_scaled_diffusion(params)
     hbar = params.hbar
-    d = _increments(_propagator(drift, diffusion, dt), min(_BLOCK, max(n_steps, 1)))
+    d = _stack(*(np.asarray(m, dtype=float) for m in (drift, diffusion)), dt,
+               min(_BLOCK, max(n_steps, 1)))
 
     samples = np.empty((5, n_steps // sample_every + 1))
     samples[:, 0] = z = _pack(state)

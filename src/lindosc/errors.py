@@ -14,10 +14,11 @@ class LindoscError(Exception):
 class ConfigError(LindoscError):
     """Malformed configuration; a value type (``ModelParams``, the two
     decompositions, ``QuadratureSpec``) with a field out of range; an hbar
-    that is not positive, finite and normal, or such an ``fp_residual`` step
-    ``h_x``; a matrix composed past the float range; a sieve grid that is
-    empty or does not bracket the optimum; or a quadrature box too narrow
-    for the Gaussian."""
+    that is not positive, finite and normal, or such a sieve area or
+    ``fp_residual`` step ``h_x``, or a step whose square passes the float
+    range; a matrix composed past the float range; a sieve grid that is
+    empty, not counted in integers or does not bracket the optimum; or a
+    quadrature box too narrow for the Gaussian."""
 
 
 class NotSPD(LindoscError):

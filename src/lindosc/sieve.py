@@ -18,6 +18,7 @@ minimum rate to rounding without using (d, phi) as a starting point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -26,6 +27,7 @@ import numpy as np
 from . import _mat2
 from .decomposition import _ISOTROPY_TOL
 from .errors import ConfigError
+from .model import _positive
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,9 @@ def _bracket(aleph, theta, diff):
 
 def rate_at(aleph, theta, area, lam, diff):
     """Entropy-production rate of a state with squeezing/orientation
-    (aleph, theta) and area ``area``.  Broadcasts over array inputs."""
+    (aleph, theta) and area ``area``, which must be positive and finite
+    (:class:`ConfigError`).  Broadcasts over arrays of aleph and theta."""
+    _positive(area, "area")
     bracket = _bracket(np.asarray(aleph, dtype=float),
                        np.asarray(theta, dtype=float), diff)
     out = (-2.0 * lam + (diff.Delta / area) * bracket) / area
@@ -86,8 +90,10 @@ def analytic_minimizer(area, lam, diff):
     The optimum matches the diffusion anisotropy: ``aleph = d`` and ``theta =
     phi``, reported in :func:`_representative`'s form, as in
     :func:`grid_search`.  For isotropic diffusion (aleph**2 - 1 below
-    decompose's tolerance) the angle is degenerate and reported as 0 with a flag.
+    decompose's tolerance) the angle is degenerate and reported as 0 with a
+    flag.  The area must be positive and finite (:class:`ConfigError`).
     """
+    _positive(area, "area")
     aleph, theta = _representative(diff.d, diff.phi)
     degenerate = aleph * aleph - 1.0 < _ISOTROPY_TOL
     return SieveResult(aleph_star=aleph, theta_star=0.0 if degenerate else theta,
@@ -99,13 +105,17 @@ def _default_grids(diff, n_aleph, n_theta, aleph_range):
     """The aleph and theta axes of the sieve grid.  The range must bracket d
     or 1/d: (d, phi) and (1/d, phi + pi/2) are the same optimum."""
     lo, hi = aleph_range
-    if not (n_aleph >= 1 and n_theta >= 1 and lo > 0
+    try:
+        counts = operator.index(n_aleph), operator.index(n_theta)
+    except TypeError:
+        counts = 0, 0  # not integers, so refused below
+    if not (min(counts) >= 1 and lo > 0
             and any(lo < x < hi or lo == hi == x for x in (diff.d, 1.0 / diff.d))):
         raise ConfigError(f"aleph range {aleph_range} over {n_aleph} x {n_theta} cells is "
-                          f"empty, not above 0 or bracketing neither the anisotropy "
-                          f"{diff.d} nor its inverse")
-    alephs = np.geomspace(lo, hi, n_aleph)
-    thetas = np.linspace(0.0, math.pi, n_theta, endpoint=False)
+                          f"empty, not whole, not above 0 or bracketing neither the "
+                          f"anisotropy {diff.d} nor its inverse")
+    alephs = np.geomspace(lo, hi, counts[0])
+    thetas = np.linspace(0.0, math.pi, counts[1], endpoint=False)
     return alephs, thetas
 
 

@@ -15,6 +15,7 @@ of two so that its determinant cannot overflow, and one expression,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,11 @@ def wigner_normalization(state, spec):
     return float(_trapezoid_weights(x1) @ f @ _trapezoid_weights(x2))
 
 
+#: The largest step whose square is finite: the square of the next float up
+#: passes the float range.
+_MAX_H_X = math.sqrt(sys.float_info.max)
+
+
 def fp_residual(trajectory, point, t_index, h_x):
     """Finite-difference residual of the phase-space transport equation.
 
@@ -122,12 +128,13 @@ def fp_residual(trajectory, point, t_index, h_x):
     sum_ij D_ij d_i d_j f`` with the trajectory's drift Y and diffusion D;
     the returned residual vanishes as O(dt**2 + h_x**2).  ``t_index`` must be
     interior so the time derivative can use adjacent samples, and ``h_x``
-    positive and finite (:class:`ConfigError` otherwise).  The eleven
-    densities and the sums are Python floats.
+    positive and finite with a finite square (:class:`ConfigError`
+    otherwise).  The eleven densities and the sums are Python floats.
     """
     if not 0 < t_index < len(trajectory) - 1:
         raise IndexError(f"t_index {t_index} is not interior to the trajectory")
-    _positive(h_x, "h_x")
+    if not _positive(h_x, "h_x") <= _MAX_H_X:
+        raise ConfigError(f"h_x {h_x} squared passes the float range")
 
     def density(k):  # of sample k, as a function of a point (x1, x2)
         inv, shift, norm = _density(trajectory.sigma[k])

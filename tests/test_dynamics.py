@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -202,6 +204,18 @@ class TestStationaryCovariance:
         with pytest.raises(NotSPD) as got:
             stationary_covariance(drift, diffusion)
         assert str(got.value) == str(expected.value)
+
+    def test_residual_past_its_bound_is_not_stable(self):
+        # A nearly nilpotent drift, Y ~ 0.63 [[-1, 1], [-1, 1]], and a
+        # diffusion of correlation ~1 - 1e-12, found by a seeded search:
+        # adj(Y) D adj(Y)^T cancels, and the residual of the closed form
+        # reaches 1.3e-11 of the terms that cancel in it.
+        drift = [[-0.6300906301087699, 0.6300897898398606],
+                 [-0.6300900877959545, 0.6300867136182037]]
+        diffusion = [[3.1847247930279066, 3.185913588471772],
+                     [3.185913588471772, 3.1871028278487707]]
+        with pytest.raises(NotStable, match="stationary residual .* past 1e-12 of terms"):
+            stationary_covariance(drift, diffusion)
 
     def test_random_hurwitz_residual(self):
         rng = np.random.default_rng(17)
@@ -471,3 +485,128 @@ def test_compose_and_rhs_sigma_are_the_fixed_order_formulas():
         expected = stack_mul(y, sigma) + stack_mul(sigma, y.T) + 2.0 * d
         got = rhs_sigma(sigma, y, d)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The stacks :func:`dynamics._increments` builds from here on, from an
+    empty memo; each is built with at most one other held."""
+    stacks, increments = [], dynamics._increments
+
+    def spy(d1, n):
+        assert len(dynamics._STACKS) <= 1
+        stacks.append(increments(d1, n))
+        return stacks[-1]
+
+    monkeypatch.setattr(dynamics, "_increments", spy)
+    monkeypatch.setattr(dynamics, "_STACKS", {})
+    return stacks
+
+
+CERTIFY = params(mu=0.15, D_qq=0.8, D_pp=0.5, D_pq=0.1, lam=0.6)
+
+
+def certify_states(n):
+    rng = np.random.default_rng(28)
+    for _ in range(n):
+        sigma0 = compose(CovDecomposition(A=rng.uniform(1.0, 2.0), aleph=rng.uniform(1.0, 2.5),
+                                          theta=rng.uniform(0.0, math.pi)), HBAR)
+        yield GaussianState(mean=rng.normal(size=2), sigma=sigma0)
+
+
+def trajectory_bits(traj):
+    return [getattr(traj, f).view(np.uint64).tobytes()
+            for f in ("t", "mean", "sigma", "area", "lin_entropy", "entropy_rate")]
+
+
+class TestIncrementMemo:
+    def test_one_model_at_two_steps_builds_two_stacks(self, built):
+        # The pattern of a criterion-8 certificate: each new state is run
+        # at dt = 2e-3, then 1e-3, under one model.
+        for state in certify_states(3):
+            evolve(state, CERTIFY, 1.0, 2e-3)
+            evolve(state, CERTIFY, 1.0, 1e-3)
+        assert [d.shape for d in built] == [(6, 5, 500), (6, 5, 1000)]
+        # A third model evicts the least recently used, the coarse stack.
+        state = GaussianState(mean=[0.3, -0.2], sigma=iso(1.5))
+        evolve(state, params(lam=0.2, D_qq=0.5, D_pp=0.5), 1.0, 2e-3)
+        evolve(state, CERTIFY, 1.0, 1e-3)
+        assert len(built) == 3
+        evolve(state, CERTIFY, 1.0, 2e-3)
+        assert len(built) == 4 and built[3].shape == (6, 5, 500)
+
+    def test_stored_stacks_are_read_only(self, built):
+        for state in certify_states(2):
+            evolve(state, CERTIFY, 1.0, 2e-3)
+            evolve(state, CERTIFY, 0.5, 1e-3)
+        assert len(built) == 2
+        assert not any(d.flags.writeable for d in built)
+        with pytest.raises(ValueError):
+            built[0][0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("p, sigma0, t_final, dt", [
+        (CERTIFY, iso(1.3), 3.0, 2e-3),
+        (params(lam=-0.4, mu=0.1, omega=1.4, D_qq=0.3, D_pp=0.6), iso(1.0), 3.0, 5e-3),
+        (params(lam=-3.0), 0.5 * np.eye(2), 119.0, 0.2),
+    ], ids=["damped", "anti_damped", "truncated"])
+    def test_a_hit_gives_the_bits_of_a_cold_build(self, built, p, sigma0, t_final, dt):
+        cold = evolve(GaussianState(mean=[0.4, -0.7], sigma=sigma0), p, t_final, dt)
+        hit = evolve(GaussianState(mean=[0.4, -0.7], sigma=sigma0), p, t_final, dt)
+        assert len(built) == 1
+        assert trajectory_bits(hit) == trajectory_bits(cold)
+
+    @pytest.mark.parametrize("dt, sigma0, t_final", [
+        (0.5, [[0.5, 0.49], [0.49, 0.5]], 50.0),
+        (0.2, [[0.5, 0.49], [0.49, 0.5]], 50.0),
+        (0.1, [[0.5, 0.49], [0.49, 0.5]], 50.0),
+        (0.2, [[0.5, 0.0], [0.0, 0.5]], 2000.0),
+    ], ids=["0.5", "0.2", "0.1", "overflow"])
+    def test_a_hit_loses_positivity_where_a_cold_build_does(self, built, dt, sigma0, t_final):
+        # The cases of TestAgainstReferenceRK4.test_positivity_lost_at_the_same_step.
+        state = GaussianState(mean=[0, 0], sigma=np.array(sigma0))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(PositivityLost) as err:
+                evolve(state, params(lam=-3.0), t_final, dt)
+            errors.append((err.value.time, str(err.value)))
+        assert len(built) == 1 and errors[0] == errors[1]
+
+    def test_the_sign_of_a_zero_is_part_of_the_key(self, built):
+        state = GaussianState(mean=[0.0, 0.0], sigma=iso(1.0))
+        runs = {}
+        for d_pq in (0.0, -0.0, 0.0, -0.0):
+            runs.setdefault(math.copysign(1.0, d_pq), []).append(
+                evolve(state, params(lam=0.5, D_pq=d_pq), 0.5, 1e-2))
+        assert len(built) == 2
+        for cold, hit in runs.values():
+            assert trajectory_bits(hit) == trajectory_bits(cold)
+        assert np.signbit(runs[-1.0][0].diffusion[0, 1])
+
+    def test_threads_share_the_memo(self, built):
+        # Six threads step three models, more keys than the memo holds, with
+        # a short switch interval; every run keeps its bits.
+        models = [params(lam=lam, D_qq=0.4, D_pp=0.6) for lam in (0.3, -0.2, 0.8)]
+        state = GaussianState(mean=[0.5, -0.5], sigma=iso(1.2))
+        want = [trajectory_bits(evolve(state, p, 0.2, 1e-3)) for p in models]
+        wrong, done = [], []
+
+        def run(k):
+            for i in range(20):
+                j = (k + i) % len(models)
+                if trajectory_bits(evolve(state, models[j], 0.2, 1e-3)) != want[j]:
+                    wrong.append(j)
+            done.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(6)) and wrong == []
+        assert len(dynamics._STACKS) <= 2

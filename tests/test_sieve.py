@@ -194,11 +194,20 @@ class TestGridSearch:
         lambda: run_sieve(1.0, 0.2, diff(), 401, 361, (-1.0, 8.0)),
         lambda: run_sieve(1.0, 0.2, diff(), 401, 361, (0.0, 8.0)),
         lambda: run_sieve(1.0, 0.2, diff(phi=math.nan)),
+        lambda: grid_search(1.0, 0.1, DiffDecomposition(1, 2, 0.3), 2.5, 10, (0.5, 8.0)),
+        lambda: grid_search(1.0, 0.1, diff(), 3.0, 10, (0.5, 8.0)),
+        lambda: rate_landscape(1.0, 0.1, diff(), 10, 2.5, (0.5, 8.0)),
+        lambda: run_sieve(1.0, 0.1, diff(), 401, 3.0),
     ], ids=["no_aleph", "no_theta", "landscape_no_theta", "landscape_no_aleph",
-            "negative_aleph", "zero_aleph", "nan_phi"])
+            "negative_aleph", "zero_aleph", "nan_phi", "aleph_2.5", "aleph_3.0",
+            "landscape_theta_2.5", "theta_3.0"])
     def test_empty_grid_or_bad_diffusion_is_config_error(self, call):
         with pytest.raises(ConfigError):
             call()
+
+    def test_numpy_integer_counts_are_counts(self):
+        assert (grid_search(1.0, 0.1, diff(), np.int64(41), np.uint16(36), (0.5, 8.0))
+                == grid_search(1.0, 0.1, diff(), 41, 36, (0.5, 8.0)))
 
 
 class TestRateLandscape:
@@ -370,3 +379,15 @@ class TestTiledSearch:
         finally:
             tracemalloc.stop()
         assert peak < 401 * 361 * 8 / 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("area", [0.0, -1.0, math.nan, math.inf, 1e-320])
+@pytest.mark.parametrize("call", [
+    lambda area: rate_at(2.0, 0.3, area, 0.2, diff()),
+    lambda area: analytic_minimizer(area, 0.2, diff()),
+    lambda area: run_sieve(area, 0.2, diff(), 41, 36),
+], ids=["rate_at", "analytic_minimizer", "run_sieve"])
+def test_area_that_is_not_positive_and_finite_is_config_error(call, area):
+    with pytest.raises(ConfigError, match="area must be positive and finite"):
+        call(area)

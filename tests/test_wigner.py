@@ -131,6 +131,14 @@ class TestFokkerPlanckResidual:
         with pytest.raises(ConfigError, match="h_x must be positive and finite"):
             fp_residual(traj, (0.0, 0.0), 5, h_x)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h_x", [1e155, 1e200, 1.7e308])
+    def test_step_whose_square_passes_the_float_range_is_config_error(self, h_x):
+        traj = evolve(coherent(), damped_params(), 0.01, 1e-3, sample_every=1)
+        with pytest.raises(ConfigError, match="squared passes the float range"):
+            fp_residual(traj, (0.0, 0.0), 5, h_x)
+        assert math.isfinite(fp_residual(traj, (0.0, 0.0), 5, wigner._MAX_H_X))
+
 
 # The scalar Wigner layer that the array-valued one replaced, kept as the
 # reference: one SPD check and inverse per point, the stencil as 13 calls,
