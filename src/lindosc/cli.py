@@ -49,10 +49,10 @@ def _load_config(path, overrides):
 _REQUIRED = object()
 
 #: The most evolve steps, sieve or sweep grid cells or wigner grid points one
-#: config may ask for.  On a 2-CPU host an evolve of 10**5 steps sampled every
-#: step takes 0.7 s and 35 MB, growing linearly; the tests, demos and benchmark
-#: ask for 144 761 at most.
-_MAX_SIZE = 10 ** 6
+#: config may ask for: evolve's own bound.  On a 2-CPU host an evolve of 10**5
+#: steps sampled every step takes 0.7 s and 35 MB, growing linearly; the
+#: tests, demos and benchmark ask for 144 761 at most.
+_MAX_SIZE = dynamics._MAX_STEPS
 
 #: Bound on m, omega, hbar, d, aleph, their inverses and each drift and scaled
 #: diffusion entry.  The layers form products of two of them (m*omega, det D,

@@ -19,7 +19,7 @@ method for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26,
 2005), and each block of B steps is filled at once as z + (z, 1) D_k.  The
 stack does not depend on the state, so :func:`_stack` keeps the last two,
 read-only, keyed by the exact bits of the drift, the diffusion and dt and by
-B: runs of many states under one model and dt build it once, at 245 kB per
+B: runs of many states under one model and dt build it once, at 147 kB per
 stack.  The increment form keeps each step's rounding relative to its
 increment; the power form (z, 1) A^k drifts.  A step's rounding is still a
 few ulp of z, the block's start, so a block ends early at its first step
@@ -29,14 +29,23 @@ its first D_k that is not finite, so a run that grows past the float range is
 stepped in shorter blocks, and its steps overflow where the step-by-step map
 would, not where the stack does.
 
-The step axis is last: the stack is ``(6, 5, B)``, a block ``(5, B)``, one
-packed state per column.  Each doubling product and each block fill is then
-a few operations on slabs whose inner loops run along the steps.  Every
-product here is a :func:`_mat2.dot`, in its fixed order, so a trajectory's
-bytes do not depend on the host's BLAS kernel.  Each block is checked at
-once by :func:`_mat2.spd`, the package's one test of a covariance, whose
-entries are the block's covariance rows, and the entropy diagnostics of all
-samples are computed in one call over the sample stack.
+The generator is block-diagonal, a 2x2 block for the mean and a 3x3 block
+for the covariance, so 14 of the 30 entries of every D_k (without its zero
+last column) are exact zeros.  The stack keeps only the two diagonal blocks,
+packed as ``(6, 3, B)`` with the step axis last: rows 0-1 hold the mean
+block, column 2 a zero pad, and rows 2-5 the covariance block and the
+constant row.  A block of steps is ``(5, B)``, one packed state per column.
+Each doubling product is then three slab terms and each block fill two
+:func:`_mat2.dot` calls, with inner loops along the steps.  The terms left
+out are exact zeros and the kept ones are summed in the full product's
+order, so each entry has the full product's value, and its bits wherever it
+is not zero: a trajectory can differ from the full product's only in the
+sign of a zero that a -0.0 of its initial state leaves.  Every product here
+is a :func:`_mat2.dot`, in its fixed order, so a trajectory's bytes do not
+depend on the host's BLAS kernel.  Each block is checked at once by
+:func:`_mat2.spd`, the package's one test of a covariance, whose entries are
+the block's covariance rows, and the entropy diagnostics of all samples are
+computed in one call over the sample stack.
 """
 
 from __future__ import annotations
@@ -120,7 +129,8 @@ def heisenberg_slack(sigma, hbar):
 
 def _propagator(drift, diffusion, dt):
     """D_1 = A - I, without its zero last column: the ``(6, 5)`` increment of
-    one RK4 step of z' = G z + c on the row (z, 1), ``[[M.T], [q]]``.
+    one RK4 step of z' = G z + c on the row (z, 1), ``[[M.T], [q]]``, of
+    which :func:`_increments` keeps the two diagonal blocks.
 
     Here z = (x1, x2, S11, S12, S22), G is block-diagonal with blocks
     ``drift`` and the 3x3 L with drift S + S drift^T = L (S11, S12, S22),
@@ -129,6 +139,7 @@ def _propagator(drift, diffusion, dt):
     M = hG (I + hG/2 + (hG)^2/6 + (hG)^3/24) and
     q = dt (I + hG/2 + (hG)^2/6 + (hG)^3/24) c: the classical RK4 stages of a
     linear system with constant coefficients, collapsed into one affine map.
+    M is block-diagonal as G is, and q's first two entries are zero.
     A map past the float range makes the first step non-finite, which the
     step check reports.
     """
@@ -149,30 +160,39 @@ def _propagator(drift, diffusion, dt):
     return d1
 
 
+#: Row of D_m that term l of a doubling product takes, for each row of the
+#: packed D_j: row l for the mean rows 0-1, row 2 + l for rows 2-5.
+_ROWS = np.array([[0, 0, 2, 2, 2, 2], [1, 1, 3, 3, 3, 3], [2, 2, 4, 4, 4, 4]])
+
+
 def _increments(d1, n):
-    """The stack ``(6, 5, m)`` of D_k = A^k - I, k = 1 ... m, without their
-    zero last columns, the step axis last: ``d[:, :, k - 1]`` is D_k, from
-    ``d1`` = D_1 of :func:`_propagator`.  m is ``n``, or less where D_(m+1)
-    is the first that is not finite, and at least 1.
+    """The packed stack ``(6, 3, m)`` of D_k = A^k - I, k = 1 ... m, the step
+    axis last: ``d[:, :, k - 1]`` holds D_k's mean block in rows 0-1,
+    columns 0-1, a zero in column 2, and its covariance block and constant
+    row, columns 2-4 of its rows 2-5, in rows 2-5.  ``d1`` is the full D_1
+    of :func:`_propagator`.  m is ``n``, or less where D_(m+1) is the first
+    that is not finite, and at least 1.
 
     A^(j+m) = A^j A^m gives D_(j+m) = D_j + D_m + D_j D_m, so one batched
-    product takes D_1 ... D_m to D_1 ... D_2m.  D_j D_m needs only the first
-    five rows of D_m, since D_j's dropped column is zero.  The product is
-    :func:`_mat2.dot`'s sum over l = 0 ... 4 of column l of D_j times row l
-    of D_m, each term one operation on a slab ``(6, 5, k)`` whose inner loop
-    runs along the steps.  A non-finite D_k would turn a finite row into nan
-    (inf - inf, inf * 0) before the row itself overflows, so the stack stops
-    before it.
+    product takes D_1 ... D_m to D_1 ... D_2m.  The full product is the sum
+    over l = 0 ... 4 of column l of D_j times row l of D_m; in each entry
+    the terms that cross the blocks are exact zeros.  The packed product
+    keeps the others in that order, as three terms l = 0, 1, 2, each one
+    operation on a slab ``(6, 3, k)`` whose inner loop runs along the steps:
+    packed column l of D_j times, per row, row :data:`_ROWS` ``[l]`` of D_m
+    (in the mean rows, term 2 is the zero pad times a row).  A non-finite
+    D_k would turn a finite row into nan (inf - inf, inf * 0) before the row
+    itself overflows, so the stack stops before it.
     """
-    d = np.empty((6, 5, n))
-    d[:, :, 0] = d1
+    d = np.empty((6, 3, n))
+    d[:2, :2, 0], d[:2, 2, 0], d[2:, :, 0] = d1[:2, :2], 0.0, d1[2:, 2:]
     m = 1
     with np.errstate(all="ignore"):
         while m < n:
             k = min(m, n - m)
-            dj, dm = d[:, :, :k], d[:, :, m - 1, None]
-            out = np.add(dj, dm, out=d[:, :, m:m + k])
-            out += _mat2.dot(dj.transpose(1, 0, 2)[:, :, None], dm[:5])
+            dj, dm = d[:, :, :k], d[:, :, m - 1]
+            out = np.add(dj, dm[:, :, None], out=d[:, :, m:m + k])
+            out += _mat2.dot(dj.transpose(1, 0, 2)[:, :, None], dm[_ROWS][..., None])
             m += k
     finite = np.isfinite(d).all(axis=(0, 1))
     return d if finite.all() else d[:, :, :max(1, int(np.argmin(finite)))]
@@ -180,10 +200,14 @@ def _increments(d1, n):
 
 def _pack(state):
     """``state`` as one row z = (x1, x2, S11, S12, S22), S12 the mean of
-    sigma's off-diagonal entries, halved before the sum so it cannot overflow."""
+    sigma's off-diagonal entries, halved before the sum so it cannot overflow,
+    or the entry itself where both are equal and not zero: halving a
+    subnormal entry rounds, which can make a nearly singular sigma fail
+    :func:`_mat2.spd`."""
     mean, sigma = state.mean, state.sigma
+    s12, s21 = sigma[0, 1], sigma[1, 0]
     return np.array([mean[0], mean[1], sigma[0, 0],
-                     0.5 * sigma[0, 1] + 0.5 * sigma[1, 0], sigma[1, 1]])
+                     s12 if s12 == s21 != 0.0 else 0.5 * s12 + 0.5 * s21, sigma[1, 1]])
 
 
 def _unpack(z):
@@ -198,14 +222,16 @@ def _unpack(z):
 
 def _step(z, d, block):
     """Fill the n columns of ``block`` ``(5, n)`` with the RK4 steps 1 ... n
-    from ``z``, column k - 1 with z + (z, 1) D_k from the stack ``d`` of
-    :func:`_increments`.  (z, 1) D_k is :func:`_mat2.dot`'s sum over
-    l = 0 ... 5 of entry l of (z, 1) times row l of D_k, each term a scalar
-    times a slab ``(5, n)``.  Overflow raises no warning here;
-    :func:`_first_failure` reports it.
+    from ``z``, column k - 1 with z + (z, 1) D_k from the packed stack ``d``
+    of :func:`_increments`: the mean rows are :func:`_mat2.dot` of
+    ``z[:2]`` and D_k's mean block, the covariance rows that of
+    (S11, S12, S22, 1) and its rows 2-5, each term a scalar times a slab.
+    The terms of the full (z, 1) D_k left out are exact zeros.  Overflow
+    raises no warning here; :func:`_first_failure` reports it.
     """
     with np.errstate(all="ignore"):
-        _mat2.dot((*z, 1.0), d, out=block)
+        _mat2.dot(z[:2], d[:2, :2], out=block[:2])
+        _mat2.dot((*z[2:], 1.0), d[2:], out=block[2:])
         block += z[:, None]
 
 
@@ -242,6 +268,10 @@ def _first_failure(block):
 #: D_k built per run; memory stays flat for any step count.
 _BLOCK = 1024
 
+#: The most steps one :func:`evolve` runs, the bound the CLI checks a
+#: config's step count against.
+_MAX_STEPS = 10 ** 6
+
 #: Fraction of its starting scale below which :func:`_kept` ends a block.
 _SHRINK = 1.0 / 16.0
 
@@ -257,7 +287,7 @@ def _stack(drift, diffusion, dt, n):
     from the float64 ``drift`` and ``diffusion``, kept for the last two keys:
     the bytes of both matrices, so ``-0.0`` and ``0.0`` apart, dt as a float,
     which for a positive dt is its bits, and ``n``.  The least recently used
-    stack is dropped before a new one is built, so at most two, 2 x 245 kB,
+    stack is dropped before a new one is built, so at most two, 2 x 147 kB,
     are held.  Runs of many states under one model, as the coarse and fine
     runs of a certificate, build each stack once."""
     key = (drift.tobytes(), diffusion.tobytes(), float(dt), n)
@@ -280,19 +310,23 @@ def evolve(state, params, t_final, dt, sample_every=1):
     :class:`GaussianState` checks the initial state; every step is checked,
     and :class:`~lindosc.errors.PositivityLost` reports the time of the first
     step whose covariance fails :func:`_mat2.check_spd`'s test or whose mean
-    is not finite.
+    is not finite.  A t_final, dt or sample_every out of range raises
+    ``ValueError``, as does a run of more than :data:`_MAX_STEPS` steps.
     """
     if not 0 <= t_final < np.inf:
         raise ValueError("t_final must be nonnegative and finite")
     if not dt > 0:
         raise ValueError("dt must be positive")
+    steps = float(t_final) / float(dt)  # a Python quotient: inf past the float range, no warning
+    if not steps <= _MAX_STEPS:
+        raise ValueError(f"t_final/dt is {steps}, past the bound of {_MAX_STEPS} steps")
     try:
         sample_every = operator.index(sample_every)
     except TypeError:
         sample_every = 0  # not an integer, so refused below
     if sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
-    n_steps = int(round(t_final / dt))
+    n_steps = round(steps)
 
     drift = _model.build_drift(params)
     diffusion = _model.build_scaled_diffusion(params)
@@ -302,7 +336,7 @@ def evolve(state, params, t_final, dt, sample_every=1):
 
     samples = np.empty((5, n_steps // sample_every + 1))
     samples[:, 0] = z = _pack(state)
-    block = np.empty(d.shape[1:])
+    block = np.empty((5, d.shape[2]))
     done, n_samples = 0, 1
     while done < n_steps:
         # Each block is stepped and checked in full, also past n_steps and

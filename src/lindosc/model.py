@@ -36,6 +36,13 @@ def _positive(value, what="hbar"):
     return value
 
 
+def _finite(value, what):
+    """``value``; :class:`ConfigError` unless it is finite."""
+    if not -math.inf < value < math.inf:
+        raise ConfigError(f"{what} must be finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class LindbladCouplings:
     """Two coupling pairs (a_j, b_j); a_j multiplies momentum, b_j position."""
@@ -72,8 +79,7 @@ class ModelParams:
                             ("hbar", self.hbar)):
             _positive(value, what)
         for name in ("mu", "D_qq", "D_pp", "D_pq", "lam"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            _finite(getattr(self, name), name)
 
     @classmethod
     def from_couplings(cls, couplings, m, omega, mu, hbar):

@@ -27,7 +27,7 @@ import numpy as np
 from . import _mat2
 from .decomposition import _ISOTROPY_TOL
 from .errors import ConfigError
-from .model import _positive
+from .model import _TINY, _finite, _positive
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,17 @@ def _bracket(aleph, theta, diff):
 
 def rate_at(aleph, theta, area, lam, diff):
     """Entropy-production rate of a state with squeezing/orientation
-    (aleph, theta) and area ``area``, which must be positive and finite
-    (:class:`ConfigError`).  Broadcasts over arrays of aleph and theta."""
+    (aleph, theta) and area ``area``.  The area and each aleph must be
+    positive and finite as :func:`_positive` has it, and ``lam`` finite
+    (:class:`ConfigError`, naming the first aleph that fails).  Broadcasts
+    over arrays of aleph and theta."""
     _positive(area, "area")
-    bracket = _bracket(np.asarray(aleph, dtype=float),
-                       np.asarray(theta, dtype=float), diff)
+    _finite(lam, "lambda")
+    aleph = np.asarray(aleph, dtype=float)
+    ok = (_TINY <= aleph) & (aleph < math.inf)
+    if not ok.all():
+        _positive(aleph[~ok].flat[0], "aleph")
+    bracket = _bracket(aleph, np.asarray(theta, dtype=float), diff)
     out = (-2.0 * lam + (diff.Delta / area) * bracket) / area
     return float(out) if out.ndim == 0 else out
 
@@ -91,9 +97,11 @@ def analytic_minimizer(area, lam, diff):
     phi``, reported in :func:`_representative`'s form, as in
     :func:`grid_search`.  For isotropic diffusion (aleph**2 - 1 below
     decompose's tolerance) the angle is degenerate and reported as 0 with a
-    flag.  The area must be positive and finite (:class:`ConfigError`).
+    flag.  The area must be positive and finite and ``lam`` finite
+    (:class:`ConfigError`).
     """
     _positive(area, "area")
+    _finite(lam, "lambda")
     aleph, theta = _representative(diff.d, diff.phi)
     degenerate = aleph * aleph - 1.0 < _ISOTROPY_TOL
     return SieveResult(aleph_star=aleph, theta_star=0.0 if degenerate else theta,
@@ -218,8 +226,11 @@ def grid_search(area, lam, diff, n_aleph, n_theta, aleph_range):
     Newton steps on B then refine the cell to rounding level, independently
     of the analytic minimizer and of the area.  Returns
     ``(aleph, theta, rate)`` at the polished point, in
-    :func:`_representative`'s form.
+    :func:`_representative`'s form.  The area must be positive and finite
+    and ``lam`` finite (:class:`ConfigError`), checked before the search.
     """
+    _positive(area, "area")
+    _finite(lam, "lambda")
     alephs, thetas = _default_grids(diff, n_aleph, n_theta, aleph_range)
     c2, s2, f_cos, f_sin = _bracket_factors(alephs[:, None], thetas[None, :], diff)
     cos_tile = np.empty((_TILE_ROWS, len(thetas)))

@@ -69,6 +69,11 @@ class TestValidateCommand:
         assert main(["validate", "--config", cfg,
                      "--set", "model.lambda=5.0"]) == 2
 
+    def test_set_without_equals_sign(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(tmp_path))
+        assert main(["validate", "--config", cfg, "--set", "foo"]) == 1
+        assert capsys.readouterr().err == "error: --set expects key=value, got 'foo'\n"
+
     def test_model_at_the_positivity_bound(self, tmp_path, capsys):
         # Passes validate's tolerance, though its intensity Delta sits just
         # below |lambda|; loading it must not second-guess validate.

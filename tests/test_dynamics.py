@@ -113,6 +113,28 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(state, params(), t_final, dt, sample_every)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t_final, dt", [
+        (1.0, 1e-300), (1e300, 1e-300), (1.0, 5e-324),
+        (np.float64(1e300), np.float64(1e-300)), (dynamics._MAX_STEPS + 1.0, 1.0)])
+    def test_a_run_past_the_step_bound_raises_before_it_allocates(self, t_final, dt):
+        # 1e-300 made numpy refuse an array past its largest dimension, and
+        # t_final/dt past the float range failed to round to an integer.
+        state = GaussianState(mean=[0.0, 0.0], sigma=iso(1.0))
+        with pytest.raises(ValueError, match="past the bound of 1000000 steps"):
+            evolve(state, params(), t_final, dt)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_subnormal_off_diagonal_entry_is_stepped_as_given(self):
+        # Halving 2**-1023 - 2**-1074 rounds: the mean of the halves moved
+        # this nearly singular sigma's first sample off sigma, past
+        # check_spd, and evolve raised NotSPD from the diagnostics.
+        s12 = 2.0 ** -1023 - 2.0 ** -1074
+        sigma = np.array([[2.0 ** -1000, s12], [s12, float.fromhex("0x1p-1046")]])
+        state = GaussianState(mean=[0.0, 0.0], sigma=sigma)
+        traj = evolve(state, params(lam=0.3, D_qq=0.4, D_pp=0.4), 0.0, 1e-3)
+        assert np.array_equal(traj.sigma[0].view(np.uint64), sigma.view(np.uint64))
+
     def test_failure_reports_time(self):
         p = params(lam=-3.0, D_qq=0.0, D_pp=0.0)  # anti-damped, no diffusion
         state = GaussianState(mean=[0, 0],
@@ -364,7 +386,7 @@ class TestAgainstReferenceRK4:
         traj = evolve(state, p, 119.0, 0.2)
         d = dynamics._increments(
             dynamics._propagator(traj.drift, traj.diffusion, 0.2), 595)
-        assert d.shape[:2] == (6, 5) and d.shape[2] < 595 and np.isfinite(d).all()
+        assert d.shape[:2] == (6, 3) and d.shape[2] < 595 and np.isfinite(d).all()
         means, sigmas = reference_evolve(state, traj.drift, traj.diffusion,
                                          595, 0.2, 1, one_step_map)
         assert len(traj) == 596 and np.isfinite(traj.sigma).all()
@@ -435,19 +457,32 @@ def increment_cases():
                        id="truncated")
 
 
+#: Rows and columns of the full D_k ``(6, 5)`` outside its two diagonal
+#: blocks: the mean rows 0-1 against the covariance columns 2-4, and the
+#: covariance rows 2-4 and the constant row 5 against the mean columns 0-1.
+OFF_BLOCK = np.zeros((6, 5), dtype=bool)
+OFF_BLOCK[:2, 2:] = OFF_BLOCK[2:, :2] = True
+
+
 @pytest.mark.parametrize("drift, diffusion, dt", increment_cases())
 def test_step_axis_last_keeps_the_bits(drift, diffusion, dt):
-    # The stack (6, 5, m) and a block (5, m) hold the same floats, bit for
-    # bit, as the step-axis-first stack and one mul of (z, 1) with it.
+    # The full step-axis-first stack is zero outside its two diagonal
+    # blocks at every k, 14 entries of 30, and the packed stack (6, 3, m)
+    # holds its blocks, bit for bit; a block (5, m) holds the floats of one
+    # mul of (z, 1) with the full stack.
     d1 = dynamics._propagator(drift, diffusion, dt)
     ref = reference_increments(d1, dynamics._BLOCK)
     d = dynamics._increments(d1, dynamics._BLOCK)
-    assert d.shape == (6, 5, len(ref))
-    assert np.array_equal(np.moveaxis(d, -1, 0).view(np.uint64), ref.view(np.uint64))
+    assert d.shape == (6, 3, len(ref))
+    assert OFF_BLOCK.sum() == 14 and np.all(ref[:, OFF_BLOCK] == 0.0)
+    packed = np.moveaxis(d, -1, 0)
+    assert np.all(packed[:, :2, 2] == 0.0)
+    for got, want in ((packed[:, :2, :2], ref[:, :2, :2]), (packed[:, 2:], ref[:, 2:, 2:])):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     z = np.array([0.7, -1.3, 2.1, 0.4, 1.6])
     with np.errstate(all="ignore"):
         ref_block = z + stack_mul(np.append(z, 1.0)[None, :], ref)[:, 0]
-    block = np.empty(d.shape[1:])
+    block = np.empty((5, d.shape[2]))
     dynamics._step(z, d, block)
     assert np.array_equal(block.T.view(np.uint64), ref_block.view(np.uint64))
 
@@ -526,14 +561,14 @@ class TestIncrementMemo:
         for state in certify_states(3):
             evolve(state, CERTIFY, 1.0, 2e-3)
             evolve(state, CERTIFY, 1.0, 1e-3)
-        assert [d.shape for d in built] == [(6, 5, 500), (6, 5, 1000)]
+        assert [d.shape for d in built] == [(6, 3, 500), (6, 3, 1000)]
         # A third model evicts the least recently used, the coarse stack.
         state = GaussianState(mean=[0.3, -0.2], sigma=iso(1.5))
         evolve(state, params(lam=0.2, D_qq=0.5, D_pp=0.5), 1.0, 2e-3)
         evolve(state, CERTIFY, 1.0, 1e-3)
         assert len(built) == 3
         evolve(state, CERTIFY, 1.0, 2e-3)
-        assert len(built) == 4 and built[3].shape == (6, 5, 500)
+        assert len(built) == 4 and built[3].shape == (6, 3, 500)
 
     def test_stored_stacks_are_read_only(self, built):
         for state in certify_states(2):

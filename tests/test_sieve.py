@@ -391,3 +391,28 @@ class TestTiledSearch:
 def test_area_that_is_not_positive_and_finite_is_config_error(call, area):
     with pytest.raises(ConfigError, match="area must be positive and finite"):
         call(area)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda lam: rate_at(2.0, 0.3, 1.0, lam, diff()),
+    lambda lam: analytic_minimizer(1.0, lam, diff()),
+    lambda lam: grid_search(1.0, lam, diff(), 41, 36, (0.5, 8.0)),
+    lambda lam: rate_landscape(1.0, lam, diff(), 5, 4, (0.5, 8.0)),
+], ids=["rate_at", "analytic_minimizer", "grid_search", "rate_landscape"])
+def test_lambda_that_is_not_finite_is_config_error(call, lam):
+    # rate_at gave -inf for lambda = inf, the minimizer and the search a
+    # nan rate for NaN.
+    with pytest.raises(ConfigError, match="lambda must be finite"):
+        call(lam)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("aleph", [
+    0.0, -2.0, math.nan, math.inf, 1e-320, [2.0, 0.0], [[1.0], [math.nan]]])
+def test_aleph_that_is_not_positive_and_finite_is_config_error(aleph):
+    # aleph = 0 divided by zero; an array names its first bad entry.
+    bad = np.ravel(aleph)[-1] if np.ndim(aleph) else aleph
+    with pytest.raises(ConfigError, match=f"aleph must be positive and finite.*got {bad}$"):
+        rate_at(aleph, 0.3, 1.0, 0.2, diff())
