@@ -60,9 +60,9 @@ class ModelParams:
     ``D_qq`` and ``D_pp`` are the position/momentum diffusion coefficients,
     ``D_pq`` the cross term and ``lam`` the friction constant.  Construction
     only enforces the strictly structural requirements (positive, finite
-    mass, frequency and action scale; finite coefficients); the diffusion
-    positivity constraint is checked by :func:`validate`, which reports
-    rather than raises.
+    mass, frequency and action scale; finite coefficients and drift); the
+    diffusion positivity constraint is checked by :func:`validate`, which
+    reports rather than raises.
     """
 
     m: float
@@ -80,6 +80,9 @@ class ModelParams:
             _positive(value, what)
         for name in ("mu", "D_qq", "D_pp", "D_pq", "lam"):
             _finite(getattr(self, name), name)
+        # build_drift's diagonal, -(lam - mu) and -(lam + mu), must be finite too.
+        _finite(self.lam - self.mu, "lam - mu")
+        _finite(self.lam + self.mu, "lam + mu")
 
     @classmethod
     def from_couplings(cls, couplings, m, omega, mu, hbar):

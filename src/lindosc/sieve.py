@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import _mat2
 from .decomposition import _ISOTROPY_TOL
 from .errors import ConfigError
-from .model import _TINY, _finite, _positive
+from .model import _finite, _positive
 
 
 @dataclass(frozen=True)
@@ -64,19 +65,31 @@ def _bracket(aleph, theta, diff):
     return c2 * f_cos + s2 * f_sin
 
 
+#: The alephs whose squares are normal floats: 2**-511 squared is the
+#: smallest normal float, and the square of the next float past sqrt(max)
+#: passes the float range.
+_ALEPH_MIN, _ALEPH_MAX = 2.0 ** -511, math.sqrt(sys.float_info.max)
+
+
 def rate_at(aleph, theta, area, lam, diff):
     """Entropy-production rate of a state with squeezing/orientation
-    (aleph, theta) and area ``area``.  The area and each aleph must be
-    positive and finite as :func:`_positive` has it, and ``lam`` finite
-    (:class:`ConfigError`, naming the first aleph that fails).  Broadcasts
-    over arrays of aleph and theta."""
+    (aleph, theta) and area ``area``.  The area must be positive and finite
+    as :func:`_positive` has it, ``lam`` and each theta finite, and each
+    aleph positive and finite with a square in the normal float range
+    (:class:`ConfigError`, naming the first aleph or theta that fails).
+    Broadcasts over arrays of aleph and theta."""
     _positive(area, "area")
     _finite(lam, "lambda")
     aleph = np.asarray(aleph, dtype=float)
-    ok = (_TINY <= aleph) & (aleph < math.inf)
+    ok = (_ALEPH_MIN <= aleph) & (aleph <= _ALEPH_MAX)
     if not ok.all():
-        _positive(aleph[~ok].flat[0], "aleph")
-    bracket = _bracket(aleph, np.asarray(theta, dtype=float), diff)
+        bad = _positive(aleph[~ok].flat[0], "aleph")
+        raise ConfigError(f"aleph {bad} squared leaves the float range")
+    theta = np.asarray(theta, dtype=float)
+    ok = np.isfinite(theta)
+    if not ok.all():
+        _finite(theta[~ok].flat[0], "theta")
+    bracket = _bracket(aleph, theta, diff)
     out = (-2.0 * lam + (diff.Delta / area) * bracket) / area
     return float(out) if out.ndim == 0 else out
 

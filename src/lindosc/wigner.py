@@ -15,6 +15,7 @@ of two so that its determinant cannot overflow, and one expression,
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -28,14 +29,20 @@ from .model import _positive
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tensor-product trapezoid grid: a positive, finite half-width in standard
-    deviations and at least 2 points per axis, else :class:`ConfigError`."""
+    deviations and an integer of at least 2 points per axis, else
+    :class:`ConfigError`."""
 
     n_sigma: float = 8.0
     n_points: int = 401
 
     def __post_init__(self):
-        if not (0 < self.n_sigma < math.inf and 2 <= self.n_points < math.inf):
-            raise ConfigError(f"{self} needs a finite n_sigma > 0 and n_points >= 2")
+        try:
+            n_points = operator.index(self.n_points)
+        except TypeError:
+            n_points = 0  # not an integer, so refused below
+        if not (0 < self.n_sigma < math.inf and n_points >= 2):
+            raise ConfigError(f"{self} needs a finite n_sigma > 0 and an integer "
+                              f"n_points >= 2")
 
 
 def _density(sigma):
@@ -74,8 +81,11 @@ def _gaussian(inv, shift, norm, dx1, dx2):
 
 def wigner_eval(state, point):
     """Gaussian phase-space density of the state at one point ``(2,)``, as a
-    float, or at each row of an ``(n, 2)`` array, as an array."""
+    float, or at each row of an ``(n, 2)`` array, as an array.  A point that
+    is not finite is a :class:`ConfigError`."""
     point = np.asarray(point, dtype=float)
+    if not np.isfinite(point).all():
+        raise ConfigError(f"point {point.tolist()} is not finite")
     inv, shift, norm = _density(state.sigma)
     dx = np.reshape(point, (-1, 2)) - state.mean
     f = _gaussian(inv, shift, norm, dx[:, 0], dx[:, 1])
@@ -87,10 +97,17 @@ def wigner_grid(state, spec):
 
     Returns ``(x1, x2, f)`` with ``f[i, j]`` at ``(x1[i], x2[j])`` (row-major
     over x1).  The box half-width is ``spec.n_sigma`` times the largest
-    standard deviation of the state.
+    standard deviation of the state; a box whose coordinates, or the products
+    of their offsets from the mean, pass the float range is a
+    :class:`ConfigError`.
     """
     inv, shift, norm = _density(state.sigma)
     half = spec.n_sigma * math.sqrt(_mat2.spectrum(state.sigma.tolist())[2])
+    # A coordinate's offset from the mean is within half and x's rounding.
+    far = max(map(abs, state.mean.tolist())) + half
+    if not half + math.ulp(far) <= _MAX_HALF:
+        raise ConfigError(f"a box of half-width {half} about {state.mean.tolist()} "
+                          f"passes the float range")
 
     x1 = state.mean[0] + np.linspace(-half, half, spec.n_points)
     x2 = state.mean[1] + np.linspace(-half, half, spec.n_points)
@@ -119,6 +136,9 @@ def wigner_normalization(state, spec):
 #: The largest step whose square is finite: the square of the next float up
 #: passes the float range.
 _MAX_H_X = math.sqrt(sys.float_info.max)
+#: The largest box half-width h for which :func:`_gaussian`'s exponent, at
+#: most 16 h**2 (its inverse-covariance entries are below 4), is finite.
+_MAX_HALF = _MAX_H_X / 4.0
 
 
 def fp_residual(trajectory, point, t_index, h_x):

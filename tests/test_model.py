@@ -140,6 +140,15 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             params(**{field: value})
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu, lam", [(1e308, -1e308), (1e308, 1e308), (-1e308, 1e308)])
+    def test_drift_past_the_float_range_rejected(self, mu, lam):
+        # Each constant is finite, but lam - mu or lam + mu is not, and
+        # build_drift had an inf entry.
+        with pytest.raises(ConfigError, match=r"lam [-+] mu must be finite"):
+            params(mu=mu, lam=lam)
+        assert np.isfinite(build_drift(params(mu=mu, lam=0.0))).all()
+
     def test_from_couplings_matches_derive(self):
         c = LindbladCouplings(a1=1.0, b1=-1j)
         p = ModelParams.from_couplings(c, m=2.0, omega=0.5, mu=0.1, hbar=1.0)

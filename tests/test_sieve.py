@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -416,3 +417,30 @@ def test_aleph_that_is_not_positive_and_finite_is_config_error(aleph):
     bad = np.ravel(aleph)[-1] if np.ndim(aleph) else aleph
     with pytest.raises(ConfigError, match=f"aleph must be positive and finite.*got {bad}$"):
         rate_at(aleph, 0.3, 1.0, 0.2, diff())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("aleph", [1e200, 1e-200, [2.0, 1e155], [[1.0], [1e-155]]])
+def test_aleph_whose_square_leaves_the_float_range_is_config_error(aleph):
+    # 1e200 overflowed in the square, 1e-200 divided by its zero square.
+    bad = np.ravel(aleph)[-1] if np.ndim(aleph) else aleph
+    message = re.escape(f"aleph {bad} squared leaves the float range")
+    with pytest.raises(ConfigError, match=message):
+        rate_at(aleph, 0.3, 1.0, 0.2, diff())
+
+
+@pytest.mark.filterwarnings("error")
+def test_alephs_at_the_ends_of_the_square_range_give_a_finite_rate():
+    # Isotropic diffusion, so that B is aleph**2 + aleph**-2 at most.
+    ends = [sieve._ALEPH_MIN, sieve._ALEPH_MAX]
+    assert ends[0] ** 2 == np.finfo(float).tiny
+    assert math.isfinite(ends[1] ** 2)
+    assert np.isfinite(rate_at(ends, 0.3, 1.0, 0.2, diff(d=1.0, phi=0.0))).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, [0.1, math.nan]])
+def test_theta_that_is_not_finite_is_config_error(theta):
+    # inf gave an invalid cosine, NaN a nan rate.
+    with pytest.raises(ConfigError, match="theta must be finite"):
+        rate_at(2.0, theta, 1.0, 0.2, diff())

@@ -48,6 +48,44 @@ class TestWignerEval:
             wigner_eval(GaussianState(mean=[0, 0], sigma=np.diag([1.0, -1.0])),
                         (0.0, 0.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf),
+                                       [[0.0, 0.0], [1.0, -math.inf]]])
+    def test_point_that_is_not_finite_is_config_error(self, point):
+        # NaN gave a nan density, inf an invalid-value warning.
+        with pytest.raises(ConfigError, match="is not finite"):
+            wigner_eval(coherent(), point)
+
+
+class TestQuadratureSpec:
+    @pytest.mark.parametrize("n_points", [2.5, 3.0, "3", True, 1, None])
+    def test_n_points_that_is_not_an_integer_of_at_least_2_is_config_error(self, n_points):
+        # 2.5 was accepted, and 3.0 failed later in linspace.
+        with pytest.raises(ConfigError, match="integer n_points >= 2"):
+            QuadratureSpec(8.0, n_points)
+
+    def test_numpy_integer_n_points_accepted(self):
+        x1, _, _ = wigner_grid(coherent(), QuadratureSpec(8.0, np.int64(5)))
+        assert len(x1) == 5
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [wigner_grid, wigner_normalization])
+    @pytest.mark.parametrize("mean, n_sigma", [((0.0, 0.0), 1e300), ((0.0, 0.0), 1e154),
+                                               ((1e300, 0.0), 8.0), ((0.0, -1.7e308), 8.0)])
+    def test_box_past_the_float_range_is_config_error(self, call, mean, n_sigma):
+        # n_sigma = 1e300 overflowed in a square; about a mean of 1e300 a
+        # coordinate's offset is a rounding of the mean, ~1e284.
+        with pytest.raises(ConfigError, match="passes the float range"):
+            call(coherent(mean), QuadratureSpec(n_sigma, 3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_widest_box_accepted(self):
+        # The largest half-width: its largest exponent, 16 half**2, is finite.
+        n_sigma = wigner._MAX_HALF / math.sqrt(0.5 * HBAR)
+        x1, x2, f = wigner_grid(coherent(), QuadratureSpec(n_sigma, 3))
+        assert x1[-1] <= wigner._MAX_HALF and f[1, 1] == pytest.approx(1 / math.pi)
+        assert f[0, 0] == 0.0
+
 
 class TestNormalization:
     def test_coherent_state(self):
