@@ -36,12 +36,20 @@ def spd(m):
     is whether ``m``, or each matrix of a stack, is finite, symmetric (|m01 -
     m10| at most 1e-9 of the largest |entry|) and positive definite
     (``det > 0`` and ``m00 > 0``), both tested on ``unit``.  A NaN fails it,
-    and a determinant past the float range does not."""
+    and a determinant past the float range does not.  numpy's error state
+    does not govern Python float arithmetic, which never warns, so only
+    arrays and numpy scalars are tested inside ``np.errstate``."""
+    if type(m[0][0]) is type(m[0][1]) is type(m[1][0]) is type(m[1][1]) is float:
+        return _spd(m)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite m fails
-        unit, s, top = normalize(m)
-        d = det(unit)
-        ok = ((top < math.inf) & (d > 0) & (unit[0][0] > 0)
-              & (abs(unit[0][1] - unit[1][0]) <= _SYMMETRY_RTOL * top))
+        return _spd(m)
+
+
+def _spd(m):
+    unit, s, top = normalize(m)
+    d = det(unit)
+    ok = ((top < math.inf) & (d > 0) & (unit[0][0] > 0)
+          & (abs(unit[0][1] - unit[1][0]) <= _SYMMETRY_RTOL * top))
     return ok, unit, s, d
 
 

@@ -75,9 +75,10 @@ def rate_at(aleph, theta, area, lam, diff):
     """Entropy-production rate of a state with squeezing/orientation
     (aleph, theta) and area ``area``.  The area must be positive and finite
     as :func:`_positive` has it, ``lam`` and each theta finite, and each
-    aleph positive and finite with a square in the normal float range
-    (:class:`ConfigError`, naming the first aleph or theta that fails).
-    Broadcasts over arrays of aleph and theta."""
+    aleph positive and finite with a square in the normal float range, and
+    that square times ``d**2`` and ``d**-2``, and their inverses, in the
+    float range (:class:`ConfigError`, naming the first aleph or theta that
+    fails).  Broadcasts over arrays of aleph and theta."""
     _positive(area, "area")
     _finite(lam, "lambda")
     aleph = np.asarray(aleph, dtype=float)
@@ -89,7 +90,16 @@ def rate_at(aleph, theta, area, lam, diff):
     ok = np.isfinite(theta)
     if not ok.all():
         _finite(theta[~ok].flat[0], "theta")
-    bracket = _bracket(aleph, theta, diff)
+    try:
+        with np.errstate(over="ignore", divide="ignore"):  # refused below
+            c2, s2, f_cos, f_sin = _bracket_factors(aleph, theta, diff)
+        ok = (f_cos < math.inf) & (f_sin < math.inf)
+    except OverflowError:  # d**2 itself, past sqrt(max)
+        ok = np.zeros(aleph.shape, dtype=bool)
+    if not ok.all():
+        raise ConfigError(f"aleph {aleph[~ok].flat[0]} squared times d**2 or d**-2, "
+                          f"d = {diff.d}, leaves the float range")
+    bracket = c2 * f_cos + s2 * f_sin
     out = (-2.0 * lam + (diff.Delta / area) * bracket) / area
     return float(out) if out.ndim == 0 else out
 

@@ -7,9 +7,11 @@ the covariance entering the Gaussian is exactly ``GaussianState.sigma``.
 Every density goes through one preamble, :func:`_density`, which checks and
 inverts one covariance on Python floats, on the covariance scaled by a power
 of two so that its determinant cannot overflow, and one expression,
-:func:`_gaussian`, which evaluates a point as floats or points as arrays.
-:func:`fp_residual` evaluates its eleven points one at a time as floats, and
-:func:`wigner_grid` forms its grid in one array.
+:func:`_gaussian`, which evaluates the exponential at a point as floats or at
+points as arrays; each caller divides by the normalisation.
+:func:`fp_residual` runs the preamble once per sample and evaluates its
+eleven points one at a time as floats, :func:`wigner_grid` forms its grid in
+one array, and :func:`wigner_normalization` divides its quadrature sum once.
 """
 
 from __future__ import annotations
@@ -60,23 +62,29 @@ def _density(sigma):
     return _mat2.inv(unit, frac), shift, math.sqrt((2.0 * math.pi) ** 2 * det) * s
 
 
-def _gaussian(inv, shift, norm, dx1, dx2):
-    """``exp(-q / 2) / norm``, ``q / 2 = dx^T ldexp(inv, shift) dx``, for floats
+def _gaussian(inv, shift, dx1, dx2):
+    """``exp(-q / 2)``, ``q / 2 = dx^T ldexp(inv, shift) dx``, for floats
     ``dx1``, ``dx2`` or over their broadcast as arrays: ``-q / 2`` summed as
     ``(-2 inv01 dx1) dx2 - inv00 dx1**2 - inv11 dx2**2``, then scaled by
-    ``2**shift``, exactly or to -inf (density 0) past the float range."""
+    ``2**shift``, exactly or to -inf (0) past the float range.  The density
+    is this divided by :func:`_density`'s ``norm``."""
     q = -2.0 * inv[0][1] * dx1 * dx2
     q -= inv[0][0] * (dx1 * dx1)
     q -= inv[1][1] * (dx2 * dx2)
     if isinstance(q, np.ndarray):
-        with np.errstate(over="ignore"):  # q or the density past the float range
-            np.exp(np.ldexp(q, shift, out=q), out=q)
-            q /= norm
-        return q
+        with np.errstate(over="ignore"):  # q past the float range
+            return np.exp(np.ldexp(q, shift, out=q), out=q)
     try:
-        return math.exp(math.ldexp(q, shift)) / norm
+        return math.exp(math.ldexp(q, shift))
     except OverflowError:  # q past the float range
-        return (0.0 if q < 0.0 else math.inf) / norm
+        return 0.0 if q < 0.0 else math.inf
+
+
+def _divide(f, norm):
+    """``f /= norm`` in place, a density past the float range to inf."""
+    with np.errstate(over="ignore"):
+        f /= norm
+    return f
 
 
 def wigner_eval(state, point):
@@ -88,19 +96,13 @@ def wigner_eval(state, point):
         raise ConfigError(f"point {point.tolist()} is not finite")
     inv, shift, norm = _density(state.sigma)
     dx = np.reshape(point, (-1, 2)) - state.mean
-    f = _gaussian(inv, shift, norm, dx[:, 0], dx[:, 1])
+    f = _divide(_gaussian(inv, shift, dx[:, 0], dx[:, 1]), norm)
     return float(f[0]) if point.ndim == 1 else f
 
 
-def wigner_grid(state, spec):
-    """Evaluate the density on a centered uniform grid.
-
-    Returns ``(x1, x2, f)`` with ``f[i, j]`` at ``(x1[i], x2[j])`` (row-major
-    over x1).  The box half-width is ``spec.n_sigma`` times the largest
-    standard deviation of the state; a box whose coordinates, or the products
-    of their offsets from the mean, pass the float range is a
-    :class:`ConfigError`.
-    """
+def _box(state, spec):
+    """``(x1, x2, e, norm)``: the axes of :func:`wigner_grid`'s box and the
+    exponential of :func:`_gaussian` on it, the density times ``norm``."""
     inv, shift, norm = _density(state.sigma)
     half = spec.n_sigma * math.sqrt(_mat2.spectrum(state.sigma.tolist())[2])
     # A coordinate's offset from the mean is within half and x's rounding.
@@ -113,7 +115,20 @@ def wigner_grid(state, spec):
     x2 = state.mean[1] + np.linspace(-half, half, spec.n_points)
     dx1 = x1[:, None] - state.mean[0]
     dx2 = x2[None, :] - state.mean[1]
-    return x1, x2, _gaussian(inv, shift, norm, dx1, dx2)
+    return x1, x2, _gaussian(inv, shift, dx1, dx2), norm
+
+
+def wigner_grid(state, spec):
+    """Evaluate the density on a centered uniform grid.
+
+    Returns ``(x1, x2, f)`` with ``f[i, j]`` at ``(x1[i], x2[j])`` (row-major
+    over x1).  The box half-width is ``spec.n_sigma`` times the largest
+    standard deviation of the state; a box whose coordinates, or the products
+    of their offsets from the mean, pass the float range is a
+    :class:`ConfigError`.
+    """
+    x1, x2, e, norm = _box(state, spec)
+    return x1, x2, _divide(e, norm)
 
 
 def _trapezoid_weights(x):
@@ -125,12 +140,14 @@ def _trapezoid_weights(x):
 
 
 def wigner_normalization(state, spec):
-    """Integral of the density over the quadrature box; ~1 for a wide box."""
+    """Integral of the density over the quadrature box; ~1 for a wide box.
+    The trapezoid sum is taken over :func:`_box`'s exponential and divided
+    by the normalisation once."""
     if spec.n_sigma < 6.0:
         raise ConfigError(
             f"box of {spec.n_sigma} standard deviations is too small; need >= 6")
-    x1, x2, f = wigner_grid(state, spec)
-    return float(_trapezoid_weights(x1) @ f @ _trapezoid_weights(x2))
+    x1, x2, e, norm = _box(state, spec)
+    return float(_trapezoid_weights(x1) @ e @ _trapezoid_weights(x2)) / norm
 
 
 #: The largest step whose square is finite: the square of the next float up
@@ -139,6 +156,13 @@ _MAX_H_X = math.sqrt(sys.float_info.max)
 #: The largest box half-width h for which :func:`_gaussian`'s exponent, at
 #: most 16 h**2 (its inverse-covariance entries are below 4), is finite.
 _MAX_HALF = _MAX_H_X / 4.0
+
+
+def _at(sample, x1, x2):
+    """The density of ``sample``, ``(inv, shift, norm, m1, m2)``: a preamble
+    of :func:`_density` and the mean, at the point ``(x1, x2)``, as floats."""
+    inv, shift, norm, m1, m2 = sample
+    return _gaussian(inv, shift, x1 - m1, x2 - m2) / norm
 
 
 def fp_residual(trajectory, point, t_index, h_x):
@@ -156,18 +180,18 @@ def fp_residual(trajectory, point, t_index, h_x):
     if not _positive(h_x, "h_x") <= _MAX_H_X:
         raise ConfigError(f"h_x {h_x} squared passes the float range")
 
-    def density(k):  # of sample k, as a function of a point (x1, x2)
-        inv, shift, norm = _density(trajectory.sigma[k])
-        m1, m2 = trajectory.mean[k].tolist()
-        return lambda x: _gaussian(inv, shift, norm, x[0] - m1, x[1] - m2)
-
-    before, f, after = (density(k) for k in range(t_index - 1, t_index + 2))
-    x = tuple(np.asarray(point, dtype=float).tolist())
+    x = np.asarray(point, dtype=float).tolist()
+    x1, x2 = x[0], x[1]
+    window = slice(t_index - 1, t_index + 2)
+    before, now, after = [(*_density(sigma), *mean) for sigma, mean in
+                          zip(trajectory.sigma[window], trajectory.mean[window].tolist())]
     y, d = trajectory.drift.tolist(), trajectory.diffusion.tolist()
-    plus = ((x[0] + h_x, x[1]), (x[0], x[1] + h_x))  # the point + h_x e_i
-    minus = ((x[0] - h_x, x[1]), (x[0], x[1] - h_x))
-    f_x, f_plus, f_minus = f(x), [f(p) for p in plus], [f(p) for p in minus]
-    dfdt = (after(x) - before(x)) / (2.0 * trajectory.dt_sample)
+    plus = ((x1 + h_x, x2), (x1, x2 + h_x))  # the point + h_x e_i
+    minus = ((x1 - h_x, x2), (x1, x2 - h_x))
+    f_x = _at(now, x1, x2)
+    f_plus = (_at(now, *plus[0]), _at(now, *plus[1]))
+    f_minus = (_at(now, *minus[0]), _at(now, *minus[1]))
+    dfdt = (_at(after, x1, x2) - _at(before, x1, x2)) / (2.0 * trajectory.dt_sample)
     # sum_ij Y_ij d_i (x_j f) by central differences of g_j(x) = x_j * f(x).
     drift_term = diff_term = 0.0
     for i in range(2):
@@ -176,6 +200,7 @@ def fp_residual(trajectory, point, t_index, h_x):
                                      - minus[i][j] * f_minus[i]) / (2.0 * h_x)
         diff_term += d[i][i] * (f_plus[i] - 2.0 * f_x + f_minus[i]) / h_x ** 2
     # The corners ++, +-, -+ and --.
-    pp, pm, mp, mm = (f((x[0] + a, x[1] + b)) for a in (h_x, -h_x) for b in (h_x, -h_x))
+    pp, pm = _at(now, x1 + h_x, x2 + h_x), _at(now, x1 + h_x, x2 - h_x)
+    mp, mm = _at(now, x1 - h_x, x2 + h_x), _at(now, x1 - h_x, x2 - h_x)
     diff_term += 2.0 * d[0][1] * (pp - pm - mp + mm) / (4.0 * h_x ** 2)
     return dfdt + drift_term - diff_term

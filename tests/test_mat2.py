@@ -6,6 +6,7 @@ float range."""
 import math
 
 import numpy as np
+import pytest
 
 from lindosc import _mat2
 
@@ -82,3 +83,35 @@ def test_one_matrix_as_floats_has_the_bits_of_a_stack_that_holds_it():
     # The stack holds every kind of matrix: some pass spd, some fail it.
     ok = _mat2.spd(entries(stack))[0]
     assert 0 < ok.sum() < len(ok)
+
+
+@pytest.mark.filterwarnings("error")
+def test_spd_tests_python_floats_outside_errstate_with_the_same_bits(monkeypatch):
+    # numpy's error state does not govern Python float arithmetic, which
+    # never warns: spd enters np.errstate only for numpy entries, whose
+    # arithmetic would warn on inf, NaN or an overflow, and both give the
+    # same (ok, unit, s, det) bits.
+    entered = []
+    errstate = np.errstate
+
+    def spy(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(_mat2.np, "errstate", spy)
+    stack = np.concatenate([matrices(4_000, seed=31),
+                            [np.full((2, 2), 1e308), np.diag([1e308, -1e308]),
+                             [[1e308, math.inf], [math.inf, 1e308]],
+                             [[math.nan, 1e308], [1e308, 1.0]]]])
+    for m in stack:
+        floats = m.tolist()
+        scalars = [[np.float64(x) for x in row] for row in floats]
+        got = flat(_mat2.spd(floats))
+        assert not entered
+        want = flat(_mat2.spd(scalars))
+        assert len(entered) == 1
+        entered.clear()
+        assert type(got[0]) is bool and got[0] == bool(want[0])
+        assert all(type(x) is float for x in got[1:])
+        assert all((x != x and y != y) or np.float64(x).view(np.uint64) == np.float64(y).view(np.uint64)
+                   for x, y in zip(got[1:], want[1:], strict=True))

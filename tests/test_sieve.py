@@ -439,6 +439,21 @@ def test_alephs_at_the_ends_of_the_square_range_give_a_finite_rate():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("aleph, d", [
+    (1e154, 2.0), (2.0 ** -511, 2.0), (2.0, 1e-160), (2.0, 1e200), ([2.0, 1e154], 2.0),
+    ([[1.0], [2.0 ** -510]], 4.0)])
+def test_aleph_whose_square_times_d_squared_leaves_the_float_range_is_config_error(aleph, d):
+    # The square is in range, its product or quotient with d**2 is not:
+    # 1e154 overflowed in aleph**2 * d**2, 2**-511 in d**2 / aleph**2, and
+    # d = 1e200 in d**2 itself.
+    bad = np.ravel(aleph)[-1] if np.ndim(aleph) else aleph
+    message = re.escape(f"aleph {bad} squared times d**2 or d**-2, d = {d}, "
+                        "leaves the float range")
+    with pytest.raises(ConfigError, match=message):
+        rate_at(aleph, 0.3, 1.0, 0.2, diff(d=d))
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, [0.1, math.nan]])
 def test_theta_that_is_not_finite_is_config_error(theta):
     # inf gave an invalid cosine, NaN a nan rate.

@@ -169,6 +169,7 @@ def finite_or_inf(*values):
 @example(np.diag([1e8, 1e-8]))
 @example(np.diag([1.0, 1e-320]))
 @example(np.diag([1.76e13, 1.76e-3]))  # its first RK4 step fails check_spd
+@example(np.array([[3.0, 3.0], [3.0, 4.0]]) * 5e-324)  # halving 3 * 5e-324 rounds up
 def test_every_accepted_covariance_has_diagnostics(sigma):
     # What GaussianState accepts, the diagnostics take: each comes out
     # finite or inf, with no NotSPD and no warning.  One RK4 step at

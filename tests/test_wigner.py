@@ -259,6 +259,47 @@ def stacked_fp_residual(trajectory, point, t_index, h_x):
     return dfdt + drift_term - diff_term, float(np.sum(np.abs(terms)))
 
 
+def frozen_fp_residual(trajectory, point, t_index, h_x):
+    """fp_residual as it was before it ran one preamble per sample: a closure
+    per sample and a generator for the corners, each point's density divided
+    by its norm inside the evaluation."""
+    def gaussian(inv, shift, norm, dx1, dx2):
+        q = -2.0 * inv[0][1] * dx1 * dx2
+        q -= inv[0][0] * (dx1 * dx1)
+        q -= inv[1][1] * (dx2 * dx2)
+        try:
+            return math.exp(math.ldexp(q, shift)) / norm
+        except OverflowError:
+            return (0.0 if q < 0.0 else math.inf) / norm
+
+    def density(k):
+        inv, shift, norm = wigner._density(trajectory.sigma[k])
+        m1, m2 = trajectory.mean[k].tolist()
+        return lambda x: gaussian(inv, shift, norm, x[0] - m1, x[1] - m2)
+
+    before, f, after = (density(k) for k in range(t_index - 1, t_index + 2))
+    x = tuple(np.asarray(point, dtype=float).tolist())
+    y, d = trajectory.drift.tolist(), trajectory.diffusion.tolist()
+    plus = ((x[0] + h_x, x[1]), (x[0], x[1] + h_x))
+    minus = ((x[0] - h_x, x[1]), (x[0], x[1] - h_x))
+    f_x, f_plus, f_minus = f(x), [f(p) for p in plus], [f(p) for p in minus]
+    dfdt = (after(x) - before(x)) / (2.0 * trajectory.dt_sample)
+    drift_term = diff_term = 0.0
+    for i in range(2):
+        for j in range(2):
+            drift_term += y[i][j] * (plus[i][j] * f_plus[i]
+                                     - minus[i][j] * f_minus[i]) / (2.0 * h_x)
+        diff_term += d[i][i] * (f_plus[i] - 2.0 * f_x + f_minus[i]) / h_x ** 2
+    pp, pm, mp, mm = (f((x[0] + a, x[1] + b)) for a in (h_x, -h_x) for b in (h_x, -h_x))
+    diff_term += 2.0 * d[0][1] * (pp - pm - mp + mm) / (4.0 * h_x ** 2)
+    return dfdt + drift_term - diff_term
+
+
+def same_float(a, b):
+    """Whether two floats have the same bits, any NaN matching any NaN."""
+    return (a != a and b != b) or np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+
+
 def reference_grid(state, spec):
     sigma = np.asarray(state.sigma, dtype=float)
     det = sigma[0, 0] * sigma[1, 1] - sigma[1, 0] * sigma[0, 1]
@@ -331,6 +372,56 @@ class TestAgainstScalarReference:
                 got = fp_residual(traj, point, t_index, h_x)
                 worst = max(worst, abs(got - want) / (np.finfo(float).eps * scale))
         assert worst <= 4.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_fp_residual_is_the_frozen_copy_bit_for_bit(self):
+        # Seeded models and points from the peak out to 40 standard
+        # deviations, where every density underflows to 0.
+        checked = zeros = 0
+        for state, rng in seeded_states(16, 12):
+            p = params(lam=rng.uniform(0.05, 1.0), mu=rng.uniform(-0.3, 0.3),
+                       omega=rng.uniform(0.5, 2.0), D_qq=rng.uniform(0.3, 2.0),
+                       D_pp=rng.uniform(0.3, 2.0), D_pq=rng.uniform(-0.1, 0.1))
+            traj = evolve(state, p, 0.2, 1e-2, sample_every=1)
+            for reach in (1.0, 3.0, 10.0, 40.0):
+                for _ in range(10):
+                    t_index = int(rng.integers(1, len(traj) - 1))
+                    sd = math.sqrt(max(np.linalg.eigvalsh(traj.sigma[t_index])))
+                    point = traj.mean[t_index] + rng.uniform(-reach, reach, 2) * sd
+                    h_x = 10.0 ** rng.uniform(-3.0, -1.0)
+                    got = fp_residual(traj, point, t_index, h_x)
+                    assert same_float(got, frozen_fp_residual(traj, point, t_index, h_x))
+                    checked, zeros = checked + 1, zeros + (got == 0.0)
+        assert checked == 480 and 0 < zeros < checked
+
+    @pytest.mark.filterwarnings("error")
+    def test_fp_residual_past_the_exponent_range_is_the_frozen_copy(self):
+        # sigma ~ 1e-200 I, damped without diffusion: the exponent is scaled
+        # by 2**shift, shift ~ 660, and at 1e60 from the mean q ~ 1e120
+        # passes the float range in math.ldexp, whose OverflowError gives
+        # each density 0.
+        traj = evolve(GaussianState(mean=[0.0, 0.0], sigma=1e-200 * np.eye(2)),
+                      params(omega=1.0, lam=0.5), 0.02, 1e-3, sample_every=1)
+        assert wigner._density(traj.sigma[10])[1] > 600
+        for point in ((1e60, 0.0), (-3e59, 2e59), (0.0, 0.0), (1e-100, -2e-100)):
+            for h_x in (1e-3, 1e-101):
+                got = fp_residual(traj, point, 10, h_x)
+                assert same_float(got, frozen_fp_residual(traj, point, 10, h_x))
+        assert fp_residual(traj, (1e60, 0.0), 10, 1e-3) == 0.0
+
+    def test_normalization_divides_the_per_cell_sum_once(self):
+        # The trapezoid sum of the exponential divided by the norm once, not
+        # each cell's density: rounding only, within the reference's 1e-14,
+        # at covariances from 1e-100 to 1e100.
+        rng = np.random.default_rng(17)
+        for state, _ in seeded_states(17, 8):
+            state = GaussianState(mean=state.mean,
+                                  sigma=state.sigma * 10.0 ** rng.uniform(-100.0, 100.0))
+            for spec in (QuadratureSpec(8.0, 301), QuadratureSpec(6.0, 501)):
+                x1, x2, f = wigner_grid(state, spec)
+                per_cell = float(wigner._trapezoid_weights(x1) @ f
+                                 @ wigner._trapezoid_weights(x2))
+                assert abs(wigner_normalization(state, spec) - per_cell) <= 1e-14
 
     def test_normalization_matches_trapezoid(self):
         for state, _ in seeded_states(13, 5):
