@@ -48,12 +48,12 @@ class SieveResult:
     grid_rate: Optional[float] = None
 
 
-def _bracket_factors(aleph, theta, diff):
+def _bracket_factors(aleph, angle, diff):
     """``(c2, s2, f_cos, f_sin)`` with B = c2*f_cos + s2*f_sin: the angular
-    weights depend on theta alone and the factors on aleph alone."""
-    delta_angle = theta - diff.phi
-    c2 = np.cos(delta_angle) ** 2
-    s2 = np.sin(delta_angle) ** 2
+    weights depend on ``angle`` = theta - phi alone and the factors on aleph
+    alone."""
+    c2 = np.cos(angle) ** 2
+    s2 = np.sin(angle) ** 2
     al2 = aleph ** 2
     d2 = diff.d ** 2
     return c2, s2, al2 / d2 + d2 / al2, al2 * d2 + 1.0 / (al2 * d2)
@@ -61,7 +61,7 @@ def _bracket_factors(aleph, theta, diff):
 
 def _bracket(aleph, theta, diff):
     """The bracket B of the module docstring.  Broadcasts over arrays."""
-    c2, s2, f_cos, f_sin = _bracket_factors(aleph, theta, diff)
+    c2, s2, f_cos, f_sin = _bracket_factors(aleph, theta - diff.phi, diff)
     return c2 * f_cos + s2 * f_sin
 
 
@@ -77,8 +77,9 @@ def rate_at(aleph, theta, area, lam, diff):
     as :func:`_positive` has it, ``lam`` and each theta finite, and each
     aleph positive and finite with a square in the normal float range, and
     that square times ``d**2`` and ``d**-2``, and their inverses, in the
-    float range (:class:`ConfigError`, naming the first aleph or theta that
-    fails).  Broadcasts over arrays of aleph and theta."""
+    float range, each theta - phi and Delta / area in the float range
+    (:class:`ConfigError`, naming the first aleph or theta that fails, or
+    Delta and the area).  Broadcasts over arrays of aleph and theta."""
     _positive(area, "area")
     _finite(lam, "lambda")
     aleph = np.asarray(aleph, dtype=float)
@@ -87,20 +88,25 @@ def rate_at(aleph, theta, area, lam, diff):
         bad = _positive(aleph[~ok].flat[0], "aleph")
         raise ConfigError(f"aleph {bad} squared leaves the float range")
     theta = np.asarray(theta, dtype=float)
-    ok = np.isfinite(theta)
-    if not ok.all():
-        _finite(theta[~ok].flat[0], "theta")
     try:
         with np.errstate(over="ignore", divide="ignore"):  # refused below
-            c2, s2, f_cos, f_sin = _bracket_factors(aleph, theta, diff)
+            angle = theta - diff.phi
+            ok = np.isfinite(angle)
+            if not ok.all():  # before the cosine of an infinite angle
+                bad = _finite(theta[~ok].flat[0], "theta")
+                raise ConfigError(f"theta {bad} minus phi {diff.phi} leaves the float range")
+            scale = diff.Delta / area
+            c2, s2, f_cos, f_sin = _bracket_factors(aleph, angle, diff)
         ok = (f_cos < math.inf) & (f_sin < math.inf)
     except OverflowError:  # d**2 itself, past sqrt(max)
         ok = np.zeros(aleph.shape, dtype=bool)
     if not ok.all():
         raise ConfigError(f"aleph {aleph[~ok].flat[0]} squared times d**2 or d**-2, "
                           f"d = {diff.d}, leaves the float range")
+    if not abs(scale) < math.inf:
+        raise ConfigError(f"Delta / area = {diff.Delta} / {area} leaves the float range")
     bracket = c2 * f_cos + s2 * f_sin
-    out = (-2.0 * lam + (diff.Delta / area) * bracket) / area
+    out = (-2.0 * lam + scale * bracket) / area
     return float(out) if out.ndim == 0 else out
 
 
@@ -255,7 +261,7 @@ def grid_search(area, lam, diff, n_aleph, n_theta, aleph_range):
     _positive(area, "area")
     _finite(lam, "lambda")
     alephs, thetas = _default_grids(diff, n_aleph, n_theta, aleph_range)
-    c2, s2, f_cos, f_sin = _bracket_factors(alephs[:, None], thetas[None, :], diff)
+    c2, s2, f_cos, f_sin = _bracket_factors(alephs[:, None], thetas[None, :] - diff.phi, diff)
     cos_tile = np.empty((_TILE_ROWS, len(thetas)))
     sin_tile = np.empty_like(cos_tile)
     starts = range(0, len(alephs), _TILE_ROWS)

@@ -6,12 +6,15 @@ the covariance entering the Gaussian is exactly ``GaussianState.sigma``.
 
 Every density goes through one preamble, :func:`_density`, which checks and
 inverts one covariance on Python floats, on the covariance scaled by a power
-of two so that its determinant cannot overflow, and one expression,
-:func:`_gaussian`, which evaluates the exponential at a point as floats or at
-points as arrays; each caller divides by the normalisation.
-:func:`fp_residual` runs the preamble once per sample and evaluates its
-eleven points one at a time as floats, :func:`wigner_grid` forms its grid in
-one array, and :func:`wigner_normalization` divides its quadrature sum once.
+of two so that its determinant cannot overflow, and one expression, the
+exponential at points as arrays in :func:`_gaussian` or at one point as
+floats in :func:`_at`; each caller divides by the normalisation.
+:func:`wigner_grid` forms its grid in one array, and
+:func:`wigner_normalization` divides its quadrature sum once.
+:func:`fp_residual` evaluates its eleven points one at a time as floats on
+the preambles of its three-sample window, which :func:`_window` keeps for the
+last two windows, keyed by their bytes: the twenty points of a certificate
+on a coarse and a fine trajectory build six preambles, not 120.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,21 +67,17 @@ def _density(sigma):
 
 
 def _gaussian(inv, shift, dx1, dx2):
-    """``exp(-q / 2)``, ``q / 2 = dx^T ldexp(inv, shift) dx``, for floats
-    ``dx1``, ``dx2`` or over their broadcast as arrays: ``-q / 2`` summed as
+    """``exp(-q / 2)``, ``q / 2 = dx^T ldexp(inv, shift) dx``, over the
+    broadcast of the arrays ``dx1``, ``dx2``: ``-q / 2`` summed as
     ``(-2 inv01 dx1) dx2 - inv00 dx1**2 - inv11 dx2**2``, then scaled by
     ``2**shift``, exactly or to -inf (0) past the float range.  The density
-    is this divided by :func:`_density`'s ``norm``."""
+    is this divided by :func:`_density`'s ``norm``; :func:`_at` is the same
+    expression on floats."""
     q = -2.0 * inv[0][1] * dx1 * dx2
     q -= inv[0][0] * (dx1 * dx1)
     q -= inv[1][1] * (dx2 * dx2)
-    if isinstance(q, np.ndarray):
-        with np.errstate(over="ignore"):  # q past the float range
-            return np.exp(np.ldexp(q, shift, out=q), out=q)
-    try:
-        return math.exp(math.ldexp(q, shift))
-    except OverflowError:  # q past the float range
-        return 0.0 if q < 0.0 else math.inf
+    with np.errstate(over="ignore"):  # q past the float range
+        return np.exp(np.ldexp(q, shift, out=q), out=q)
 
 
 def _divide(f, norm):
@@ -158,11 +158,48 @@ _MAX_H_X = math.sqrt(sys.float_info.max)
 _MAX_HALF = _MAX_H_X / 4.0
 
 
+#: The preambles of the last two sample windows of :func:`fp_residual`, the
+#: most recently used last (see :func:`_window`).
+_WINDOWS = {}
+_WINDOWS_LOCK = threading.Lock()
+
+
+def _window(sigma, mean):
+    """The preambles of the samples ``sigma`` ``(k, 2, 2)`` and ``mean``
+    ``(k, 2)``, float64 arrays, one ``(c01, h00, h11, shift, norm, m1, m2)``
+    per sample: :func:`_density`'s inverse as ``-2 inv01`` and its diagonal,
+    its shift and norm, and the mean, as floats.
+
+    They are kept for the last two windows, keyed by the bytes and shapes of
+    both arrays, so a write into a trajectory's arrays, or a copy with other
+    samples, gets its own.  The least recently used window is dropped once a
+    new one is built; a window that :func:`_density` refuses raises on every
+    call and is not kept.  The coarse and fine runs of a certificate each
+    build their window once."""
+    key = (sigma.tobytes(), mean.tobytes(), sigma.shape, mean.shape)
+    with _WINDOWS_LOCK:
+        samples = _WINDOWS.pop(key, None)
+        if samples is None:
+            samples = tuple((-2.0 * inv[0][1], inv[0][0], inv[1][1], shift, norm, m1, m2)
+                            for (inv, shift, norm), (m1, m2)
+                            in zip(map(_density, sigma), mean.tolist()))
+            if len(_WINDOWS) == 2:
+                del _WINDOWS[next(iter(_WINDOWS))]
+        _WINDOWS[key] = samples
+    return samples
+
+
 def _at(sample, x1, x2):
-    """The density of ``sample``, ``(inv, shift, norm, m1, m2)``: a preamble
-    of :func:`_density` and the mean, at the point ``(x1, x2)``, as floats."""
-    inv, shift, norm, m1, m2 = sample
-    return _gaussian(inv, shift, x1 - m1, x2 - m2) / norm
+    """The density of ``sample``, one of :func:`_window`'s, at the point
+    ``(x1, x2)``: :func:`_gaussian`'s exponent on floats, exactly or to 0 or
+    inf past the float range, divided by the norm."""
+    c01, h00, h11, shift, norm, m1, m2 = sample
+    dx1, dx2 = x1 - m1, x2 - m2
+    q = c01 * dx1 * dx2 - h00 * (dx1 * dx1) - h11 * (dx2 * dx2)
+    try:
+        return math.exp(math.ldexp(q, shift)) / norm
+    except OverflowError:  # q past the float range
+        return (0.0 if q < 0.0 else math.inf) / norm
 
 
 def fp_residual(trajectory, point, t_index, h_x):
@@ -171,36 +208,44 @@ def fp_residual(trajectory, point, t_index, h_x):
     The evolved Gaussian solves ``df/dt = -sum_ij Y_ij d_i (x_j f) +
     sum_ij D_ij d_i d_j f`` with the trajectory's drift Y and diffusion D;
     the returned residual vanishes as O(dt**2 + h_x**2).  ``t_index`` must be
-    interior so the time derivative can use adjacent samples, and ``h_x``
-    positive and finite with a finite square (:class:`ConfigError`
-    otherwise).  The eleven densities and the sums are Python floats.
+    interior so the time derivative can use adjacent samples, ``point`` two
+    finite numbers, and ``h_x`` positive and finite with a finite square
+    (:class:`ConfigError` otherwise).  The eleven densities and the sums are
+    Python floats, over the three samples' preambles of :func:`_window`.
     """
     if not 0 < t_index < len(trajectory) - 1:
         raise IndexError(f"t_index {t_index} is not interior to the trajectory")
     if not _positive(h_x, "h_x") <= _MAX_H_X:
         raise ConfigError(f"h_x {h_x} squared passes the float range")
+    x = np.asarray(point, dtype=float)
+    if x.shape != (2,):
+        raise ConfigError(f"point {x.tolist()} is not two numbers")
+    x1, x2 = x.tolist()
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ConfigError(f"point {[x1, x2]} is not finite")
 
-    x = np.asarray(point, dtype=float).tolist()
-    x1, x2 = x[0], x[1]
     window = slice(t_index - 1, t_index + 2)
-    before, now, after = [(*_density(sigma), *mean) for sigma, mean in
-                          zip(trajectory.sigma[window], trajectory.mean[window].tolist())]
-    y, d = trajectory.drift.tolist(), trajectory.diffusion.tolist()
-    plus = ((x1 + h_x, x2), (x1, x2 + h_x))  # the point + h_x e_i
-    minus = ((x1 - h_x, x2), (x1, x2 - h_x))
+    before, now, after = _window(np.asarray(trajectory.sigma[window], dtype=float),
+                                 np.asarray(trajectory.mean[window], dtype=float))
+    (y00, y01), (y10, y11) = trajectory.drift.tolist()
+    (d00, d01), (_, d11) = trajectory.diffusion.tolist()
+    x1p, x1m, x2p, x2m = x1 + h_x, x1 - h_x, x2 + h_x, x2 - h_x
     f_x = _at(now, x1, x2)
-    f_plus = (_at(now, *plus[0]), _at(now, *plus[1]))
-    f_minus = (_at(now, *minus[0]), _at(now, *minus[1]))
+    f_1p, f_2p = _at(now, x1p, x2), _at(now, x1, x2p)  # the point + h_x e_i
+    f_1m, f_2m = _at(now, x1m, x2), _at(now, x1, x2m)
     dfdt = (_at(after, x1, x2) - _at(before, x1, x2)) / (2.0 * trajectory.dt_sample)
     # sum_ij Y_ij d_i (x_j f) by central differences of g_j(x) = x_j * f(x).
-    drift_term = diff_term = 0.0
-    for i in range(2):
-        for j in range(2):
-            drift_term += y[i][j] * (plus[i][j] * f_plus[i]
-                                     - minus[i][j] * f_minus[i]) / (2.0 * h_x)
-        diff_term += d[i][i] * (f_plus[i] - 2.0 * f_x + f_minus[i]) / h_x ** 2
+    # Each sum starts from 0.0 and adds its terms in row-major (i, j) order,
+    # which fixes its bits.
+    two_h, h2 = 2.0 * h_x, h_x ** 2
+    drift_term = 0.0 + y00 * (x1p * f_1p - x1m * f_1m) / two_h
+    drift_term += y01 * (x2 * f_1p - x2 * f_1m) / two_h
+    drift_term += y10 * (x1 * f_2p - x1 * f_2m) / two_h
+    drift_term += y11 * (x2p * f_2p - x2m * f_2m) / two_h
+    diff_term = 0.0 + d00 * (f_1p - 2.0 * f_x + f_1m) / h2
+    diff_term += d11 * (f_2p - 2.0 * f_x + f_2m) / h2
     # The corners ++, +-, -+ and --.
-    pp, pm = _at(now, x1 + h_x, x2 + h_x), _at(now, x1 + h_x, x2 - h_x)
-    mp, mm = _at(now, x1 - h_x, x2 + h_x), _at(now, x1 - h_x, x2 - h_x)
-    diff_term += 2.0 * d[0][1] * (pp - pm - mp + mm) / (4.0 * h_x ** 2)
+    pp, pm = _at(now, x1p, x2p), _at(now, x1p, x2m)
+    mp, mm = _at(now, x1m, x2p), _at(now, x1m, x2m)
+    diff_term += 2.0 * d01 * (pp - pm - mp + mm) / (4.0 * h2)
     return dfdt + drift_term - diff_term

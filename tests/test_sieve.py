@@ -459,3 +459,25 @@ def test_theta_that_is_not_finite_is_config_error(theta):
     # inf gave an invalid cosine, NaN a nan rate.
     with pytest.raises(ConfigError, match="theta must be finite"):
         rate_at(2.0, theta, 1.0, 0.2, diff())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta, phi", [
+    (1.7e308, -1e308), (-1.7e308, 1e308), ([0.3, 1.7e308], -1e308), ([[0.1], [-1e308]], 1e308)])
+def test_theta_minus_phi_past_the_float_range_is_config_error(theta, phi):
+    # 1.7e308 - (-1e308) overflowed to inf, whose cosine warned.
+    bad = np.ravel(theta)[-1] if np.ndim(theta) else theta
+    message = re.escape(f"theta {bad} minus phi {phi} leaves the float range")
+    with pytest.raises(ConfigError, match=message):
+        rate_at(1.0, theta, 1.0, 0.0, diff(phi=phi))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta, area", [(1e300, 1e-300), (-1e300, 1e-300), (1.7e308, 0.5)])
+def test_delta_over_area_past_the_float_range_is_config_error(delta, area):
+    # Delta / area = inf gave an infinite rate with no error.
+    message = re.escape(f"Delta / area = {delta} / {area} leaves the float range")
+    with pytest.raises(ConfigError, match=message):
+        rate_at(1.0, 0.0, area, 0.0, diff(delta=delta, phi=0.0))
+    with pytest.raises(ConfigError, match=message):
+        rate_landscape(area, 0.0, diff(delta=delta, d=1.0, phi=0.0), 5, 4, (0.5, 8.0))

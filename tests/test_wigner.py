@@ -177,6 +177,25 @@ class TestFokkerPlanckResidual:
             fp_residual(traj, (0.0, 0.0), 5, h_x)
         assert math.isfinite(fp_residual(traj, (0.0, 0.0), 5, wigner._MAX_H_X))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (math.inf, 0.0),
+                                       (0.0, -math.inf), np.array([0.1, math.nan])])
+    def test_point_that_is_not_finite_is_config_error(self, point, monkeypatch):
+        # NaN and inf gave a nan residual; refused as by wigner_eval, before
+        # the window is looked up.
+        traj = evolve(coherent(), damped_params(), 0.01, 1e-3, sample_every=1)
+        monkeypatch.setattr(wigner, "_window", None)
+        with pytest.raises(ConfigError, match=r"point \[.*\] is not finite"):
+            fp_residual(traj, point, 5, 1e-3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("point", [(0.1, 0.2, 0.3), (0.1,), [[0.1, 0.2]], 0.1])
+    def test_point_that_is_not_two_numbers_is_config_error(self, point, monkeypatch):
+        traj = evolve(coherent(), damped_params(), 0.01, 1e-3, sample_every=1)
+        monkeypatch.setattr(wigner, "_window", None)
+        with pytest.raises(ConfigError, match="is not two numbers"):
+            fp_residual(traj, point, 5, 1e-3)
+
 
 # The scalar Wigner layer that the array-valued one replaced, kept as the
 # reference: one SPD check and inverse per point, the stencil as 13 calls,
@@ -444,6 +463,118 @@ class TestAgainstScalarReference:
         sigma[5 + offset] = np.diag([1.0, -1.0])
         with pytest.raises(NotSPD):
             fp_residual(dataclasses.replace(traj, sigma=sigma), (0.1, 0.2), 5, 1e-3)
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """An empty window memo for one test."""
+    memo = {}
+    monkeypatch.setattr(wigner, "_WINDOWS", memo)
+    return memo
+
+
+def density_spy(monkeypatch):
+    """A list that grows by one on each call of wigner._density."""
+    calls, density = [], wigner._density
+    monkeypatch.setattr(wigner, "_density", lambda sigma: calls.append(1) or density(sigma))
+    return calls
+
+
+class TestWindowMemo:
+    @pytest.mark.filterwarnings("error")
+    def test_misses_and_hits_are_the_frozen_copy(self, windows, monkeypatch):
+        # Three trajectories in turn miss on every call (three preambles
+        # each); two of them alternating, as criterion 8's coarse and fine
+        # runs do, hit on every call.
+        calls = density_spy(monkeypatch)
+        trajs = [evolve(state, damped_params(), 0.05, 1e-3, sample_every=1)
+                 for state, _ in seeded_states(31, 3)]
+        rng = np.random.default_rng(31)
+        for order, builds in (((0, 1, 2) * 4, 3), ((1, 2) * 6, 0)):
+            for k in order:
+                point = trajs[k].mean[25] + rng.uniform(-3.0, 3.0, 2)
+                before = len(calls)
+                got = fp_residual(trajs[k], point, 25, 1e-2)
+                assert len(calls) - before == builds
+                assert same_float(got, frozen_fp_residual(trajs[k], point, 25, 1e-2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_written_or_replaced_samples_get_their_own_preambles(self, windows):
+        state = GaussianState(mean=[0.3, -0.2],
+                              sigma=compose(CovDecomposition(1.5, 1.6, 0.4), HBAR))
+        traj = evolve(state, damped_params(), 0.02, 1e-3, sample_every=1)
+        point = (0.5, 0.1)
+        last = fp_residual(traj, point, 10, 1e-2)
+        for samples, k in ((traj.sigma, 11), (traj.mean, 9)):  # one array, then the other
+            samples[k] *= 1.25
+            got = fp_residual(traj, point, 10, 1e-2)
+            assert not same_float(got, last)
+            assert same_float(got, frozen_fp_residual(traj, point, 10, 1e-2))
+            last = got
+        copy = dataclasses.replace(traj, sigma=traj.sigma * 0.5)
+        assert same_float(fp_residual(copy, point, 10, 1e-2),
+                          frozen_fp_residual(copy, point, 10, 1e-2))
+
+    def test_holds_at_most_two_windows(self, windows, monkeypatch):
+        calls = density_spy(monkeypatch)
+        traj = evolve(coherent(), damped_params(), 0.02, 1e-3, sample_every=1)
+        last = len(traj) - 2
+        for t_index in range(1, last + 1):
+            fp_residual(traj, (0.1, 0.2), t_index, 1e-2)
+            assert len(windows) == min(t_index, 2)
+        assert len(calls) == 3 * last
+        fp_residual(traj, (0.1, 0.2), last - 1, 1e-2)  # kept: no preamble
+        assert len(calls) == 3 * last
+        fp_residual(traj, (0.1, 0.2), last - 2, 1e-2)  # dropped: three
+        assert len(calls) == 3 * last + 3 and len(windows) == 2
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_indefinite_window_raises_on_every_call_and_is_not_kept(self, windows, offset):
+        traj = evolve(coherent(), damped_params(), 0.01, 1e-3, sample_every=1)
+        fp_residual(traj, (0.1, 0.2), 4, 1e-3)
+        good = fp_residual(traj, (0.1, 0.2), 5, 1e-3)
+        kept = list(windows.items())
+        sigma = traj.sigma.copy()
+        sigma[5 + offset] = np.diag([1.0, -1.0])
+        bad = dataclasses.replace(traj, sigma=sigma)
+        for _ in range(3):
+            with pytest.raises(NotSPD):
+                fp_residual(bad, (0.1, 0.2), 5, 1e-3)
+            assert list(windows.items()) == kept
+        assert same_float(fp_residual(traj, (0.1, 0.2), 5, 1e-3), good)
+
+    def test_criterion_8_builds_six_preambles(self, windows, monkeypatch):
+        # Criterion 8's 40 calls, 20 points on a coarse and a fine run at one
+        # time, read two windows of three samples.
+        calls = density_spy(monkeypatch)
+        p = params(mu=0.15, D_qq=0.8, D_pp=0.5, D_pq=0.1, lam=0.6)
+        state = GaussianState(mean=[0.9, -0.4],
+                              sigma=compose(CovDecomposition(A=1.4, aleph=1.7, theta=0.6), HBAR))
+        coarse = evolve(state, p, 1.0, 2e-3, sample_every=1)
+        fine = evolve(state, p, 1.0, 1e-3, sample_every=1)
+        sd = math.sqrt(max(np.linalg.eigvalsh(coarse.sigma[250])))
+        rng = np.random.default_rng(108)
+        for _ in range(20):
+            point = coarse.mean[250] + rng.uniform(-2, 2, size=2) * sd
+            fp_residual(coarse, point, 250, 2e-2)
+            fp_residual(fine, point, 500, 1e-2)
+        assert len(calls) == 6
+
+    @pytest.mark.filterwarnings("error")
+    def test_exponent_past_the_float_range_is_the_frozen_copy(self, windows):
+        # Samples 2**-40 I: the inverse is 2 I with shift 38, and at 1e150
+        # from the mean the exponent, -2e300, scaled by 2**38 passes the
+        # float range in math.ldexp, whose OverflowError gives the density 0.
+        traj = evolve(coherent(), damped_params(), 0.02, 1e-3, sample_every=1)
+        traj = dataclasses.replace(
+            traj, sigma=np.broadcast_to(2.0 ** -40 * np.eye(2), traj.sigma.shape).copy())
+        c01, h00, h11, shift, _, m1, _ = wigner._window(traj.sigma[9:12], traj.mean[9:12])[1]
+        assert (c01, h00, h11, shift) == (0.0, 2.0, 2.0, 38)
+        with pytest.raises(OverflowError):
+            math.ldexp(-h00 * ((1e150 - m1) * (1e150 - m1)), shift)
+        for point in ((1e150, 0.0), (0.0, -1e150), (-1e150, 1e150)):
+            got = fp_residual(traj, point, 10, 1e-3)
+            assert got == 0.0 and same_float(got, frozen_fp_residual(traj, point, 10, 1e-3))
 
 
 class TestScaledDeterminant:
